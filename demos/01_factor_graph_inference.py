@@ -53,17 +53,3 @@ print("  marginal deviation from exact:",
       round(float(np.abs(ex.node_marginals - sp.node_marginals).max()), 6))
 print("  exact MAP:", ex.map_labels, " max-product MAP:", mp.map_labels)
 
-# Dummy variables with all-zero tables pad a graph to a fixed size without
-# touching the real nodes; this is how the per-frame CRF keeps a constant
-# node count.
-padded = FactorGraph(
-    num_vars=6,
-    unary=np.vstack([full.unary, np.zeros((2, 2))]),
-    pairs=full.pairs,
-    real_mask=np.array([True] * 4 + [False] * 2),
-)
-pad_res = sum_product(padded, BpConfig())
-print("\nafter padding with 2 dummy variables")
-print("  real-node marginals unchanged:",
-      bool(np.allclose(pad_res.node_marginals[:4], sp.node_marginals)))
-print("  dummy marginals are uniform:", pad_res.node_marginals[4:].tolist())

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import crf_model, io, metrics, tracker, training
 from .errors import CapacityError, CrfTrackError, FormatError, NumericalError, ValidationError
-from .factor_graph import exact_inference, max_product
+from .factor_graph import INFERENCE_MODES
 from .features import Box, FrameContext, HypothesisWindow
 
 
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seqinfo", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--mode", choices=("threshold", "crf"), required=True)
-    p.add_argument("--inference", choices=("exact", "loopy-bp"), default="loopy-bp")
+    p.add_argument("--inference", choices=INFERENCE_MODES, default="loopy-bp")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-decisions", default=None)
 
@@ -46,14 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--ratio", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inference", choices=("exact", "loopy-bp"), default="exact")
+    p.add_argument("--inference", choices=INFERENCE_MODES, default="exact")
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-dataset", default=None)
 
     p = sub.add_parser("infer", help="single-frame inactivation decision")
     p.add_argument("--frame-json", required=True)
     p.add_argument("--params", required=True)
-    p.add_argument("--inference", choices=("exact", "loopy-bp"), default="loopy-bp")
+    p.add_argument("--inference", choices=INFERENCE_MODES, default="loopy-bp")
     p.add_argument("--dump-messages", default=None,
                    help="write per-iteration BP messages (loopy-bp only)")
 
@@ -148,28 +148,23 @@ def _parse_frame_json(text: str):
             windows.append(HypothesisWindow(tracklet_id=int(w["id"]), boxes=boxes,
                                             score=float(w["score"]),
                                             length=int(w["length"])))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise FormatError(f"frame JSON missing field: {exc}")
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad frame JSON field: {exc}")
     return ctx, windows
 
 
 def _cmd_infer(args) -> int:
     ctx, windows = _parse_frame_json(Path(args.frame_json).read_text(encoding="ascii"))
     params, bp = crf_model.load_params(args.params)
-    assembly = crf_model.assemble_frame_graph(windows, params, ctx)
     trace = [] if args.dump_messages else None
-    if args.inference == "exact":
-        result = exact_inference(assembly.graph)
-    else:
-        result = max_product(assembly.graph, bp, trace=trace)
-    labels = {tid: int(result.map_labels[vi]) for vi, tid in assembly.node_map.items()}
-    labels.update((tid, 1) for tid in assembly.bypass_active)
-    labels.update((tid, 0) for tid in assembly.bypass_inactive)
+    labels = crf_model.decide_inactivation(windows, params, ctx, args.inference, bp, trace)
     for tid in sorted(labels):
         print(f"{tid} {labels[tid]}")
     if args.dump_messages:
         with open(args.dump_messages, "w", encoding="ascii") as fh:
-            for it, fid, vid, direction, p0, p1 in trace or []:
+            for it, fid, vid, direction, p0, p1 in trace:
                 fh.write(f"{it},{fid},{vid},{direction},{p0!r},{p1!r}\n")
     return 0
 

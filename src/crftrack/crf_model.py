@@ -1,10 +1,12 @@
-"""Per-frame CRF assembly: filtering, dummy padding, shared-weight energies.
+"""Per-frame CRF: filtering, shared-weight energies, and the frame decision.
 
-Every frame yields a graph with exactly `node_budget` variables. Tracklets
-are first split by score and history thresholds; of the remaining candidates
-the lowest-scoring ones become CRF nodes (confident tracklets need no joint
-reasoning) and the rest stay active without entering the graph. Dummy
-variables with all-zero tables pad the graph to the fixed size.
+Tracklets are first split by score and history thresholds; of the remaining
+candidates at most `node_budget` of the lowest-scoring ones become CRF nodes
+(confident tracklets need no joint reasoning) and the rest stay active
+without entering the graph. The graph has one variable per CRF node.
+`decide_frame` is the one path from a frame's windows to its decisions: it
+assembles the graph, runs MAP inference, and maps labels and bypasses to
+decision kinds.
 """
 
 from __future__ import annotations
@@ -15,8 +17,19 @@ from importlib import resources
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .factor_graph import BpConfig, FactorGraph, PairFactor, exact_inference, max_product
+from .factor_graph import BpConfig, FactorGraph, InferenceResult, PairFactor, infer
 from .features import FeatureParams, FrameContext, binary_feature, unary_feature
+
+# Tracklets younger than this many frames skip the CRF: the kinematic
+# features need three boxes.
+MIN_CRF_LENGTH = 3
+
+# Decision kinds of one tracklet in one frame.
+KEPT = "kept"
+INACTIVATED_THRESHOLD = "inactivated-threshold"
+INACTIVATED_CRF = "inactivated-crf"
+BYPASS = "bypass"
+ACTIVE_KINDS = (KEPT, BYPASS)
 
 
 @dataclass(frozen=True)
@@ -29,7 +42,6 @@ class ModelParams:
     node_budget: int = 10
     pre_threshold: float = 0.4
     short_threshold: float = 0.5
-    min_crf_length: int = 3
 
     def __post_init__(self):
         if self.node_budget < 1:
@@ -44,18 +56,14 @@ class ModelParams:
 class FrameAssembly:
     """One frame's CRF plus the tracklets routed around it.
 
-    node_map sends variable indices 0..n_real-1 to tracklet ids; the
-    remaining variables up to node_budget are dummies. unary_phi and pair_phi
-    hold the raw (weight-free) feature tables for the real part of the graph,
-    which training reuses under candidate weights.
+    node_map sends each graph variable 0..num_vars-1 to its tracklet id;
+    bypass_active and bypass_inactive hold the tracklets decided without it.
     """
 
     graph: FactorGraph
     node_map: dict[int, int]
     bypass_active: list[int]
     bypass_inactive: list[int]
-    unary_phi: np.ndarray
-    pair_phi: list[tuple[int, int, np.ndarray]]
 
     @property
     def real_ids(self) -> list[int]:
@@ -76,7 +84,7 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
     for w in windows:
         if w.score < params.pre_threshold:
             bypass_inactive.append(w.tracklet_id)
-        elif w.length < params.min_crf_length:
+        elif w.length < MIN_CRF_LENGTH:
             if w.score < params.short_threshold:
                 bypass_inactive.append(w.tracklet_id)
             else:
@@ -108,62 +116,54 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
     return nodes, unary_phi, pair_phi, sorted(bypass_active), sorted(bypass_inactive)
 
 
-def graph_from_features(unary_phi, pair_phi, theta_u, theta_b, num_vars=None):
-    """Energy graph E = theta * phi; optionally padded with dummy variables."""
-    n_real = unary_phi.shape[0]
-    if num_vars is None:
-        num_vars = n_real
-    if num_vars < n_real:
-        raise ValidationError(f"cannot fit {n_real} real nodes into {num_vars} variables")
-    unary = np.zeros((num_vars, 2))
-    unary[:n_real] = theta_u * unary_phi
-    mask = np.zeros(num_vars, dtype=bool)
-    mask[:n_real] = True
+def graph_from_features(unary_phi, pair_phi, theta_u, theta_b) -> FactorGraph:
+    """Energy graph E = theta * phi over the CRF nodes."""
     pairs = [PairFactor(a, b, theta_b * tbl) for a, b, tbl in pair_phi]
-    return FactorGraph(num_vars=num_vars, unary=unary, pairs=pairs, real_mask=mask)
+    return FactorGraph(num_vars=unary_phi.shape[0], unary=theta_u * unary_phi, pairs=pairs)
 
 
 def assemble_frame_graph(windows, params: ModelParams, ctx: FrameContext) -> FrameAssembly:
-    """Build the fixed-size CRF for one frame of tracking hypotheses."""
+    """Build the CRF for one frame of tracking hypotheses."""
     nodes, unary_phi, pair_phi, bypass_active, bypass_inactive = \
         compute_feature_tables(windows, params, ctx)
-    graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b,
-                                num_vars=params.node_budget)
+    graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b)
     node_map = {i: w.tracklet_id for i, w in enumerate(nodes)}
     return FrameAssembly(graph=graph, node_map=node_map,
-                         bypass_active=bypass_active, bypass_inactive=bypass_inactive,
-                         unary_phi=unary_phi, pair_phi=pair_phi)
+                         bypass_active=bypass_active, bypass_inactive=bypass_inactive)
+
+
+def decide_frame(windows, params: ModelParams, ctx: FrameContext,
+                 inference: str = "loopy-bp", bp: BpConfig | None = None,
+                 trace: list | None = None) -> tuple[dict[int, str], InferenceResult]:
+    """Decision kind of every tracklet in the frame, plus the CRF's inference result.
+
+    CRF nodes are KEPT or INACTIVATED_CRF by their MAP labels (exact
+    enumeration or loopy max-product); bypassed tracklets are BYPASS or
+    INACTIVATED_THRESHOLD. `trace` collects loopy-bp messages.
+    """
+    assembly = assemble_frame_graph(windows, params, ctx)
+    result = infer(assembly.graph, inference, bp, trace=trace)
+    kinds = {tid: KEPT if result.map_labels[vi] == 1 else INACTIVATED_CRF
+             for vi, tid in assembly.node_map.items()}
+    kinds.update((tid, BYPASS) for tid in assembly.bypass_active)
+    kinds.update((tid, INACTIVATED_THRESHOLD) for tid in assembly.bypass_inactive)
+    return kinds, result
 
 
 def decide_inactivation(windows, params: ModelParams, ctx: FrameContext,
-                        inference: str = "loopy-bp",
-                        bp: BpConfig | None = None) -> dict[int, int]:
-    """Label every tracklet in the frame: 1 keeps it active, 0 inactivates.
-
-    CRF nodes get their MAP labels (exact enumeration or loopy max-product);
-    bypassed tracklets get their threshold decisions. Dummy variables produce
-    no entries.
-    """
-    assembly = assemble_frame_graph(windows, params, ctx)
-    if inference == "exact":
-        result = exact_inference(assembly.graph)
-    elif inference == "loopy-bp":
-        result = max_product(assembly.graph, bp or BpConfig())
-    else:
-        raise ValidationError(f"unknown inference mode {inference!r}")
-
-    labels = {tid: int(result.map_labels[vi]) for vi, tid in assembly.node_map.items()}
-    labels.update((tid, 1) for tid in assembly.bypass_active)
-    labels.update((tid, 0) for tid in assembly.bypass_inactive)
-    return labels
+                        inference: str = "loopy-bp", bp: BpConfig | None = None,
+                        trace: list | None = None) -> dict[int, int]:
+    """The 0/1 view of decide_frame: 1 keeps a tracklet active, 0 inactivates it."""
+    kinds, _ = decide_frame(windows, params, ctx, inference, bp, trace)
+    return {tid: int(kind in ACTIVE_KINDS) for tid, kind in kinds.items()}
 
 
 def labeling_energy(assembly: FrameAssembly, labels: dict[int, int]) -> float:
-    """Total energy of a labeling of the real nodes; exp(-E)/Z is its probability."""
+    """Total energy of a labeling of the CRF nodes; exp(-E)/Z is its probability."""
     var_label = {}
     for vi, tid in assembly.node_map.items():
         if tid not in labels:
-            raise ValidationError(f"labeling misses real node for tracklet {tid}")
+            raise ValidationError(f"labeling misses CRF node for tracklet {tid}")
         var_label[vi] = labels[tid]
     energy = 0.0
     for vi, y in var_label.items():

@@ -5,7 +5,8 @@ exp(-sum_f E_f(y_f)), so lower energy means more probable. Three inference
 routines are provided: brute-force enumeration (the oracle, exact marginals
 and log partition function), sum-product belief propagation (approximate
 marginals on loopy graphs, exact on trees), and max-product belief
-propagation (approximate MAP).
+propagation (approximate MAP). `infer` is the one dispatch from an inference
+mode name to these routines.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .errors import CapacityError, NumericalError, ValidationError
 
 # Enumeration bound for exact inference: 2**20 labelings is the ceiling.
 MAX_EXACT_VARS = 20
+
+# Inference modes accepted by `infer`, the CLI and training.
+INFERENCE_MODES = ("exact", "loopy-bp")
 
 
 @dataclass(frozen=True)
@@ -35,24 +39,14 @@ class PairFactor:
 
 @dataclass
 class FactorGraph:
-    """num_vars binary variables, one unary energy table each, plus pair factors.
-
-    real_mask marks real vs dummy variables; every factor touching a dummy
-    variable must have an all-zero energy table so dummies cannot influence
-    real nodes.
-    """
+    """num_vars binary variables, one unary energy table each, plus pair factors."""
 
     num_vars: int
     unary: np.ndarray
     pairs: list[PairFactor] = field(default_factory=list)
-    real_mask: np.ndarray | None = None
 
     def __post_init__(self):
         self.unary = np.asarray(self.unary, dtype=float)
-        if self.real_mask is None:
-            self.real_mask = np.ones(self.num_vars, dtype=bool)
-        else:
-            self.real_mask = np.asarray(self.real_mask, dtype=bool)
         self.validate()
 
     def validate(self):
@@ -62,8 +56,6 @@ class FactorGraph:
             raise ValidationError(
                 f"unary table shape {self.unary.shape}, expected {(self.num_vars, 2)}"
             )
-        if self.real_mask.shape != (self.num_vars,):
-            raise ValidationError("real_mask length must equal num_vars")
         if not np.isfinite(self.unary).all():
             raise ValidationError("non-finite unary energy")
         for k, pf in enumerate(self.pairs):
@@ -75,14 +67,6 @@ class FactorGraph:
                 raise ValidationError(f"pair factor {k} table must be 2x2")
             if not np.isfinite(pf.table).all():
                 raise ValidationError(f"non-finite energy in pair factor {k}")
-            if not (self.real_mask[pf.i] and self.real_mask[pf.j]):
-                if np.any(pf.table != 0.0):
-                    raise ValidationError(
-                        f"pair factor {k} touches a dummy variable but has nonzero energies"
-                    )
-        dummy = ~self.real_mask
-        if dummy.any() and np.any(self.unary[dummy] != 0.0):
-            raise ValidationError("dummy variables must have all-zero unary tables")
 
 
 @dataclass(frozen=True)
@@ -99,7 +83,6 @@ class BpConfig:
     max_iterations: int = 50
     tolerance: float = 1e-6
     damping: float = 0.5
-    schedule: str = "flooding"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -108,21 +91,17 @@ class BpConfig:
             raise ValidationError("tolerance must be > 0")
         if not (0.0 <= self.damping < 1.0):
             raise ValidationError("damping must lie in [0, 1)")
-        if self.schedule != "flooding":
-            raise ValidationError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass
 class InferenceResult:
     """Marginals, factor marginals, and MAP labels from one inference call.
 
-    `unary_beliefs[v]` is the belief of variable v's unary factor (identical
-    to its node marginal), `pair_beliefs[k]` the joint belief of pair factor k.
-    `log_partition` is populated by exact inference only.
+    `pair_beliefs[k]` is the joint belief of pair factor k. `log_partition` is
+    populated by exact inference only.
     """
 
     node_marginals: np.ndarray
-    unary_beliefs: np.ndarray
     pair_beliefs: np.ndarray
     map_labels: np.ndarray
     log_partition: float | None
@@ -179,13 +158,30 @@ def exact_inference(graph: FactorGraph) -> InferenceResult:
 
     return InferenceResult(
         node_marginals=marginals,
-        unary_beliefs=marginals.copy(),
         pair_beliefs=pair_beliefs,
         map_labels=map_labels,
         log_partition=log_z,
         converged=True,
         iterations_used=0,
     )
+
+
+def infer(graph: FactorGraph, mode: str, config: BpConfig | None = None,
+          maximize: bool = True, trace: list | None = None) -> InferenceResult:
+    """Run inference in one of INFERENCE_MODES.
+
+    "exact" enumerates every labeling, which yields the MAP labels and the
+    marginals at once. "loopy-bp" runs max-product when `maximize` is set,
+    sum-product otherwise, and appends its messages to `trace` when one is
+    given; exact inference passes no messages, so it rejects a trace.
+    """
+    if mode == "exact":
+        if trace is not None:
+            raise ValidationError("message traces need loopy-bp inference")
+        return exact_inference(graph)
+    if mode == "loopy-bp":
+        return (max_product if maximize else sum_product)(graph, config, trace=trace)
+    raise ValidationError(f"unknown inference mode {mode!r}")
 
 
 def sum_product(graph: FactorGraph, config: BpConfig | None = None,
@@ -316,7 +312,6 @@ def _message_passing(graph, config, maximize, trace=None):
 
     return InferenceResult(
         node_marginals=marginals,
-        unary_beliefs=marginals.copy(),
         pair_beliefs=pair_beliefs,
         map_labels=map_labels,
         log_partition=None,

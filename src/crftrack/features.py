@@ -188,18 +188,3 @@ def binary_feature(win_i: HypothesisWindow, win_j: HypothesisWindow,
         dl_j = height_change_rate(win_j, ctx, params)
         value += params.beta * abs(dl_i - dl_j)
     return value
-
-
-def unary_feature_center_distance(distance: float, delta_r: float, label: int,
-                                  alpha: float) -> float:
-    """Alternate unary penalty for detector-offset style trackers.
-
-    Inactivation (label 0) costs the inverse of the distance between the
-    tracked center and the offset-corrected detection center; keeping costs
-    the aspect-ratio-change penalty.
-    """
-    if not distance > 0:
-        raise ValidationError(f"center distance must be > 0, got {distance}")
-    if label == 0:
-        return 1.0 / distance
-    return alpha * abs(1.0 - delta_r)

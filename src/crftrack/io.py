@@ -51,9 +51,6 @@ class TrackFile:
     def __len__(self):
         return len(self.records)
 
-    def frames(self) -> list[int]:
-        return sorted({rec.frame for rec in self.records})
-
     def by_frame(self) -> dict[int, list[TrackRecord]]:
         table: dict[int, list[TrackRecord]] = {}
         for rec in self.records:

@@ -22,19 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crf_model import ModelParams, assemble_frame_graph
+# The decision kinds are re-exported: callers read them as tracker.KEPT etc.
+from .crf_model import (ACTIVE_KINDS, BYPASS, INACTIVATED_CRF,  # noqa: F401
+                        INACTIVATED_THRESHOLD, KEPT, ModelParams, decide_frame)
 from .errors import ValidationError
-from .factor_graph import BpConfig, exact_inference, max_product
+from .factor_graph import BpConfig
 from .features import Box, FrameContext, HypothesisWindow
 from .io import TrackFile, TrackRecord, round_half_up
 from .metrics import iou
 
 NMS_IOU = 0.5
-
-KEPT = "kept"
-INACTIVATED_THRESHOLD = "inactivated-threshold"
-INACTIVATED_CRF = "inactivated-crf"
-BYPASS = "bypass"
 
 
 @dataclass
@@ -135,17 +132,17 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
         windows = [state.active[tid].window(tid) for tid, _, _ in existing]
         if observer is not None and windows:
             observer(frame, windows)
-        kinds = _crf_decisions(windows, params, ctx, inference, bp)
+        kinds, _ = decide_frame(windows, params, ctx, inference, bp)
         for tid, box, score in existing:
             kind = kinds[tid]
-            if kind in (INACTIVATED_THRESHOLD, INACTIVATED_CRF):
+            if kind not in ACTIVE_KINDS:
                 _inactivate(state, tid, frame)
             decisions.append(TrackletDecision(tid, box, score, kind))
 
     # New detections, greedy score-descending suppression against everything
     # kept. Detections below the short-tracklet threshold never start: a
     # length-1 tracklet would be inactivated by that same rule immediately.
-    kept_boxes = [d.box for d in decisions if d.decision in (KEPT, BYPASS)]
+    kept_boxes = [d.box for d in decisions if d.decision in ACTIVE_KINDS]
     detections.sort(key=lambda t: (-t[2], t[0] if t[0] is not None else -1))
     for tid, box, score in detections:
         if score < params.short_threshold:
@@ -163,26 +160,6 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
 
     decisions.sort(key=lambda d: d.track_id)
     return state, FrameResult(frame=frame, decisions=decisions)
-
-
-def _crf_decisions(windows, params, ctx, inference, bp):
-    """Per-tracklet decision kind for one frame in CRF mode."""
-    assembly = assemble_frame_graph(windows, params, ctx)
-    if inference == "exact":
-        result = exact_inference(assembly.graph)
-    elif inference == "loopy-bp":
-        result = max_product(assembly.graph, bp or BpConfig())
-    else:
-        raise ValidationError(f"unknown inference mode {inference!r}")
-
-    kinds = {}
-    for vi, tid in assembly.node_map.items():
-        kinds[tid] = KEPT if result.map_labels[vi] == 1 else INACTIVATED_CRF
-    for tid in assembly.bypass_active:
-        kinds[tid] = BYPASS
-    for tid in assembly.bypass_inactive:
-        kinds[tid] = INACTIVATED_THRESHOLD
-    return kinds
 
 
 def run(hypotheses: TrackFile, params: ModelParams, ctx: FrameContext,
@@ -204,7 +181,7 @@ def run(hypotheses: TrackFile, params: ModelParams, ctx: FrameContext,
         if results is not None:
             results.append(frame_result)
         for d in frame_result.decisions:
-            if d.decision in (KEPT, BYPASS):
+            if d.decision in ACTIVE_KINDS:
                 out.append(TrackRecord(frame, d.track_id, d.box.left, d.box.top,
                                        d.box.width, d.box.height, d.score))
     out.sort(key=lambda r: (r.frame, r.track_id))
@@ -310,17 +287,20 @@ def scenario_from_json(text: str) -> ScenarioSpec:
     if unknown:
         raise ValidationError(f"unknown scenario keys {sorted(unknown)}")
     kwargs = {k: data[k] for k in known & set(data) if k not in ("camera_pan", "drift_events")}
-    if "camera_pan" in data:
-        pan = data["camera_pan"]
-        if pan and isinstance(pan[0], (list, tuple)):
-            kwargs["camera_pan"] = [(int(s), (float(p[0]), float(p[1]))) for s, p in pan]
-        else:
-            kwargs["camera_pan"] = (float(pan[0]), float(pan[1]))
-    if "drift_events" in data:
-        kwargs["drift_events"] = [DriftEvent(int(f), int(v), int(n))
-                                  for f, v, n in data["drift_events"]]
-    spec = ScenarioSpec(**kwargs)
-    spec.validate()
+    try:
+        if "camera_pan" in data:
+            pan = data["camera_pan"]
+            if pan and isinstance(pan[0], (list, tuple)):
+                kwargs["camera_pan"] = [(int(s), (float(p[0]), float(p[1]))) for s, p in pan]
+            else:
+                kwargs["camera_pan"] = (float(pan[0]), float(pan[1]))
+        if "drift_events" in data:
+            kwargs["drift_events"] = [DriftEvent(int(f), int(v), int(n))
+                                      for f, v, n in data["drift_events"]]
+        spec = ScenarioSpec(**kwargs)
+        spec.validate()
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(f"bad scenario field: {exc}")
     return spec
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .crf_model import ModelParams, compute_feature_tables, graph_from_features, with_weights
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import BpConfig, exact_inference, sum_product
+from .factor_graph import INFERENCE_MODES, BpConfig, exact_inference, infer
 from .features import Box, FrameContext, HypothesisWindow
 from .io import TrackFile
 from .metrics import iou
@@ -37,7 +37,7 @@ class TrainConfig:
             raise ValidationError("learning_rate must be >= 0")
         if self.epochs < 1 or self.positive_ratio < 0:
             raise ValidationError("epochs must be >= 1 and positive_ratio >= 0")
-        if self.inference_mode not in ("exact", "loopy-bp"):
+        if self.inference_mode not in INFERENCE_MODES:
             raise ValidationError(f"unknown inference mode {self.inference_mode!r}")
 
 
@@ -56,7 +56,7 @@ class TrainingSample:
     def tables(self, params: ModelParams):
         """Feature tables and gold vectors; cached per feature settings."""
         key = (params.features, params.node_budget, params.pre_threshold,
-               params.short_threshold, params.min_crf_length)
+               params.short_threshold)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -79,7 +79,7 @@ class TrainResult:
 
 
 def _sample_terms(sample, params):
-    """Gold-labeling feature sums and the real-node graph at current weights."""
+    """Gold-labeling feature sums and the CRF graph at current weights."""
     unary_phi, pair_phi, gold = sample.tables(params)
     phi_u_gold = float(unary_phi[np.arange(len(gold)), gold].sum()) if len(gold) else 0.0
     phi_b_gold = float(sum(tbl[gold[a], gold[b]] for a, b, tbl in pair_phi))
@@ -114,13 +114,7 @@ def gradient(params: ModelParams, sample: TrainingSample, mode: str = "exact",
     against finite differences of log_likelihood in the test suite.
     """
     unary_phi, pair_phi, gold, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
-    if mode == "exact":
-        result = exact_inference(graph)
-    elif mode == "loopy-bp":
-        result = sum_product(graph, bp or BpConfig())
-    else:
-        raise ValidationError(f"unknown inference mode {mode!r}")
-
+    result = infer(graph, mode, bp, maximize=False)
     exp_u = float((unary_phi * result.node_marginals).sum())
     exp_b = 0.0
     for k, (_, _, tbl) in enumerate(pair_phi):

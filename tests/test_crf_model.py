@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,8 +34,7 @@ class TestAssembly:
     def test_two_real_nodes_padded_to_budget(self, params):
         windows = [steady_window(1, 0.9), steady_window(2, 0.8, x=500)]
         asm = assemble_frame_graph(windows, params, CTX)
-        assert asm.graph.num_vars == 10
-        assert asm.graph.real_mask.sum() == 2
+        assert asm.graph.num_vars == 2
         assert len(asm.graph.pairs) == 1
         assert asm.node_map == {0: 1, 1: 2}
         assert asm.bypass_active == [] and asm.bypass_inactive == []
@@ -75,7 +75,7 @@ class TestAssembly:
             routed = sorted(list(asm.node_map.values()) + asm.bypass_active
                             + asm.bypass_inactive)
             assert routed == [w.tracklet_id for w in sorted(windows, key=lambda w: w.tracklet_id)]
-            assert asm.graph.num_vars == params.node_budget
+            assert asm.graph.num_vars == len(asm.node_map) <= params.node_budget
 
     def test_pair_tables_support_only_keep_keep(self, params, rng):
         windows = [steady_window(tid, 0.9, x=100 + 200 * tid, step=float(rng.uniform(0, 4)))
@@ -125,11 +125,7 @@ class TestDecide:
 
 
 def with_tight_budget(params, budget):
-    return ModelParams(theta_u=params.theta_u, theta_b=params.theta_b,
-                       features=params.features, node_budget=budget,
-                       pre_threshold=params.pre_threshold,
-                       short_threshold=params.short_threshold,
-                       min_crf_length=params.min_crf_length)
+    return replace(params, node_budget=budget)
 
 
 class TestLabelingEnergy:

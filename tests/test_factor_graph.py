@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_full_graph, random_tree_graph, reference_enumeration
 from crftrack.errors import CapacityError, NumericalError, ValidationError
-from crftrack.factor_graph import (BpConfig, FactorGraph, PairFactor,
-                                   exact_inference, max_product, sum_product)
+from crftrack.factor_graph import (BpConfig, FactorGraph, PairFactor, exact_inference,
+                                   infer, max_product, sum_product)
 
 # BP settings for acyclic graphs: undamped flooding reaches the exact fixed
 # point in finitely many sweeps.
@@ -203,11 +203,10 @@ class TestProperties:
             assert np.array_equal(exact_inference(scaled).map_labels, base.map_labels)
 
     def test_dummy_node_neutrality(self, rng):
+        # Isolated variables with zero energies leave the other nodes untouched.
         graph = random_full_graph(rng, 4)
-        n_dummies = 3
-        mask = np.array([True] * 4 + [False] * n_dummies)
         padded = FactorGraph(num_vars=7, unary=np.vstack([graph.unary, np.zeros((3, 2))]),
-                             pairs=graph.pairs, real_mask=mask)
+                             pairs=graph.pairs)
         for solver, kwargs in ((exact_inference, {}), (sum_product, {"config": BpConfig()}),
                                (max_product, {"config": BpConfig()})):
             base = solver(graph, **kwargs)
@@ -253,12 +252,25 @@ class TestProperties:
             assert p0 + p1 == pytest.approx(1.0, abs=1e-9)
             assert p0 >= 0 and p1 >= 0
 
+    def test_infer_dispatch(self, rng):
+        graph = random_full_graph(rng, 4)
+        cases = ((("exact", None, True), exact_inference(graph)),
+                 (("loopy-bp", None, True), max_product(graph)),
+                 (("loopy-bp", TREE_BP, False), sum_product(graph, TREE_BP)))
+        for (mode, config, maximize), expected in cases:
+            res = infer(graph, mode, config, maximize=maximize)
+            assert np.array_equal(res.node_marginals, expected.node_marginals)
+            assert np.array_equal(res.map_labels, expected.map_labels)
+        with pytest.raises(ValidationError):
+            infer(graph, "exact", trace=[])
+        with pytest.raises(ValidationError):
+            infer(graph, "gibbs")
+
     def test_bp_config_defaults(self):
         config = BpConfig()
         assert config.max_iterations == 50
         assert config.tolerance == 1e-6
         assert config.damping == 0.5
-        assert config.schedule == "flooding"
 
     def test_bp_config_validation(self):
         with pytest.raises(ValidationError):

@@ -4,8 +4,7 @@ import pytest
 from crftrack.errors import InsufficientHistoryError, ValidationError
 from crftrack.features import (Box, FeatureParams, FrameContext, HypothesisWindow,
                                aspect_ratio_change, binary_feature, boundary_flag,
-                               height_change_rate, unary_feature,
-                               unary_feature_center_distance, velocity_change)
+                               height_change_rate, unary_feature, velocity_change)
 
 CTX = FrameContext(1920, 1080, 30.0)
 PARAMS = FeatureParams()
@@ -198,19 +197,6 @@ class TestBinaryFeature:
             a = window_from_centers(c1, h=rng.uniform(40, 200), tid=1)
             b = window_from_centers(c2, h=rng.uniform(40, 200), tid=2)
             assert binary_feature(a, b, (1, 1), PARAMS, CTX) >= 0.0
-
-
-class TestCenterDistanceUnary:
-    def test_inactivation_values(self):
-        assert unary_feature_center_distance(2.0, 1.0, 0, 1.0) == pytest.approx(0.5)
-        assert unary_feature_center_distance(10.0, 1.0, 0, 1.0) == pytest.approx(0.1)
-
-    def test_keep_with_stable_ratio_is_free(self):
-        assert unary_feature_center_distance(5.0, 1.0, 1, 2.0) == 0.0
-
-    def test_rejects_non_positive_distance(self):
-        with pytest.raises(ValidationError):
-            unary_feature_center_distance(0.0, 1.0, 0, 1.0)
 
 
 class TestTypes:

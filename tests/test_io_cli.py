@@ -198,8 +198,8 @@ class TestCli:
         assert code == 2
 
     def test_capacity_error_exit_code(self, workdir, capsys):
-        # A node budget beyond the enumeration bound forces a capacity error
-        # in exact mode (dummies pad the graph to the full budget).
+        # A node budget beyond the enumeration bound lets 21 CRF nodes in,
+        # which exact mode cannot enumerate.
         from crftrack.crf_model import default_params, save_params
         params, bp = default_params()
         text = (workdir / "params.txt")
@@ -207,13 +207,45 @@ class TestCli:
         content = text.read_text().replace("node_budget=10", "node_budget=25")
         (workdir / "params25.txt").write_text(content)
         frame = {"image_width": 1920, "image_height": 1080, "frame_rate": 30,
-                 "windows": [{"id": 1, "boxes": [[0, 0, 10, 20]] * 3,
-                              "score": 0.9, "length": 3}]}
+                 "windows": [{"id": tid, "boxes": [[0, 0, 10, 20]] * 3,
+                              "score": 0.9, "length": 3} for tid in range(1, 22)]}
         (workdir / "frame.json").write_text(json.dumps(frame))
         code = main(["infer", "--frame-json", str(workdir / "frame.json"),
                      "--params", str(workdir / "params25.txt"),
                      "--inference", "exact"])
         assert code == 4
+
+    def test_non_numeric_frame_field_exit_code(self, workdir, capsys):
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        frame = {"image_width": "abc", "image_height": 1080, "frame_rate": 30,
+                 "windows": []}
+        (workdir / "frame.json").write_text(json.dumps(frame))
+        code = main(["infer", "--frame-json", str(workdir / "frame.json"),
+                     "--params", str(workdir / "params.txt")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_message_dump_needs_loopy_bp(self, workdir, capsys):
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        frame = {"image_width": 1920, "image_height": 1080, "frame_rate": 30,
+                 "windows": [{"id": 1, "boxes": [[100, 100, 40, 100]] * 3,
+                              "score": 0.9, "length": 3}]}
+        (workdir / "frame.json").write_text(json.dumps(frame))
+        code = main(["infer", "--frame-json", str(workdir / "frame.json"),
+                     "--params", str(workdir / "params.txt"), "--inference", "exact",
+                     "--dump-messages", str(workdir / "msgs.txt")])
+        assert code == 2
+        assert "loopy-bp" in capsys.readouterr().err
+        assert not (workdir / "msgs.txt").exists()
+
+    @pytest.mark.parametrize("field", [{"camera_pan": 5}, {"camera_pan": [1]},
+                                       {"drift_events": [[1, 2]]}, {"num_frames": "x"}])
+    def test_wrong_typed_spec_field_exit_code(self, workdir, capsys, field):
+        (workdir / "spec.json").write_text(json.dumps({**SPEC_JSON, **field}))
+        assert main(gen_args(workdir)) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_exit_code_mapping(self):
         assert exit_code_for(FormatError("x")) == 2
