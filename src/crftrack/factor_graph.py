@@ -7,10 +7,17 @@ and log partition function), sum-product belief propagation (approximate
 marginals on loopy graphs, exact on trees), and max-product belief
 propagation (approximate MAP). `infer` is the one dispatch from an inference
 mode name to these routines.
+
+Belief propagation keeps its messages as normalized log-probabilities, so an
+energy table whose exp(-E) underflows to zero still passes a finite message;
+only energies near the float limit can overflow it, which raises
+NumericalError. Damping and the convergence tolerance still read the messages
+as probabilities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +30,10 @@ MAX_EXACT_VARS = 20
 
 # Inference modes accepted by `infer`, the CLI and training.
 INFERENCE_MODES = ("exact", "loopy-bp")
+
+# Largest log-probability step of any message that loopy BP still counts as
+# converged, whatever its step in probability units.
+MAX_SETTLED_NATS = 1.0
 
 
 @dataclass(frozen=True)
@@ -75,9 +86,11 @@ class BpConfig:
 
     Flooding schedule: every sweep recomputes all variable-to-factor messages
     from the previous factor-to-variable messages, then all factor-to-variable
-    messages, which are damped against their previous values. Convergence is
-    declared when the max absolute change of any factor-to-variable message
-    entry falls below `tolerance`.
+    messages. Damping mixes each new message with its previous value as
+    probabilities: damping * old + (1 - damping) * new. Convergence is
+    declared when no factor-to-variable message entry changes by more than
+    `tolerance` in probability units (and none by more than
+    MAX_SETTLED_NATS in log-probability).
     """
 
     max_iterations: int = 50
@@ -196,124 +209,76 @@ def max_product(graph: FactorGraph, config: BpConfig | None = None,
     return _message_passing(graph, config or BpConfig(), maximize=True, trace=trace)
 
 
+def _normalized(log_msg):
+    """Shift log-messages so each last-axis pair of entries sums to probability 1."""
+    return log_msg - np.logaddexp(log_msg[..., :1], log_msg[..., 1:])
+
+
 def _message_passing(graph, config, maximize, trace=None):
     graph.validate()
     n = graph.num_vars
     n_pairs = len(graph.pairs)
+    # Messages and beliefs are log-probabilities. Sum-product and max-product
+    # differ only in how a factor folds out the other endpoint's label.
+    combine = np.maximum if maximize else np.logaddexp
+    log_keep = -np.inf if config.damping == 0.0 else math.log(config.damping)
+    log_mix = math.log1p(-config.damping)
 
-    # Unary factor-to-variable messages never change: normalize exp(-E) once.
-    unary_msg = np.exp(-graph.unary)
-    row_sums = unary_msg.sum(axis=1)
-    if not np.isfinite(row_sums).all() or np.any(row_sums <= 0.0):
-        v = int(np.flatnonzero(~np.isfinite(row_sums) | (row_sums <= 0.0))[0])
-        raise NumericalError(f"unary factor {v}: message underflowed to zero")
-    unary_msg /= row_sums[:, None]
-
-    kernels = np.exp(-np.stack([pf.table for pf in graph.pairs])) if n_pairs else \
-        np.zeros((0, 2, 2))
-    idx_i = np.array([pf.i for pf in graph.pairs], dtype=int)
-    idx_j = np.array([pf.j for pf in graph.pairs], dtype=int)
+    log_unary = _normalized(-graph.unary)
+    log_kernels = -np.array([pf.table for pf in graph.pairs]).reshape(-1, 2, 2)
     # Flattened endpoint variable index per (pair, endpoint) message slot.
-    endpoints = np.stack([idx_i, idx_j], axis=1).reshape(-1) if n_pairs else \
-        np.zeros(0, dtype=int)
+    endpoints = np.array([(pf.i, pf.j) for pf in graph.pairs], dtype=int).reshape(-1)
 
-    f2v = np.full((n_pairs, 2, 2), 0.5)  # [pair, endpoint, label]
-    v2f = np.full((n_pairs, 2, 2), 0.5)
+    f2v = np.full((n_pairs, 2, 2), math.log(0.5))  # [pair, endpoint, label]
 
     def beliefs_from(f2v_cur):
-        b = unary_msg.copy()
-        if n_pairs:
-            np.multiply.at(b, endpoints, f2v_cur.reshape(-1, 2))
+        b = log_unary.copy()
+        np.add.at(b, endpoints, f2v_cur.reshape(-1, 2))
         return b
 
-    def emit_trace(iteration, f2v_cur, v2f_cur):
-        if trace is None:
-            return
-        for k in range(n_pairs):
-            for e, v in ((0, idx_i[k]), (1, idx_j[k])):
-                trace.append((iteration, n + k, int(v), "f2v",
-                              float(f2v_cur[k, e, 0]), float(f2v_cur[k, e, 1])))
-                trace.append((iteration, n + k, int(v), "v2f",
-                              float(v2f_cur[k, e, 0]), float(v2f_cur[k, e, 1])))
+    def cavity(b, f2v_cur):
+        # Variable-to-factor: the belief with this factor's own message taken out.
+        return _normalized(b[endpoints].reshape(n_pairs, 2, 2) - f2v_cur)
 
     converged = n_pairs == 0
     iterations = 0
     for iterations in range(1, (config.max_iterations + 1) if n_pairs else 1):
-        # Variable-to-factor: cavity belief, i.e. full belief with this
-        # factor's own message divided out. Zero entries fall back to an
-        # explicit leave-one-out product.
-        b = beliefs_from(f2v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v2f = b[endpoints].reshape(n_pairs, 2, 2) / f2v
-        bad = ~np.isfinite(v2f)
-        if bad.any():
-            flat_f2v = f2v.reshape(-1, 2)
-            for k, e in zip(*np.nonzero(bad.any(axis=2))):
-                slot_self = 2 * k + e
-                v = endpoints[slot_self]
-                prod = unary_msg[v].copy()
-                for slot in np.flatnonzero(endpoints == v):
-                    if slot != slot_self:
-                        prod = prod * flat_f2v[slot]
-                v2f[k, e] = prod
-        sums = v2f.sum(axis=2)
-        if np.any(sums <= 0.0) or not np.isfinite(sums).all():
-            k = int(np.flatnonzero((sums <= 0.0) | ~np.isfinite(sums))[0] // 2)
-            raise NumericalError(f"pair factor {k}: variable-to-factor message vanished")
-        v2f = v2f / sums[:, :, None]
-
-        # Factor-to-variable.
-        if maximize:
-            to_i = (kernels * v2f[:, 1, None, :]).max(axis=2)
-            to_j = (kernels * v2f[:, 0, :, None]).max(axis=1)
-        else:
-            to_i = np.einsum("kab,kb->ka", kernels, v2f[:, 1, :])
-            to_j = np.einsum("kab,ka->kb", kernels, v2f[:, 0, :])
-        new_f2v = np.stack([to_i, to_j], axis=1)
-        sums = new_f2v.sum(axis=2)
-        if np.any(sums <= 0.0) or not np.isfinite(sums).all():
-            k = int(np.flatnonzero((sums <= 0.0) | ~np.isfinite(sums))[0] // 2)
-            raise NumericalError(f"pair factor {k}: factor-to-variable message vanished")
-        new_f2v = new_f2v / sums[:, :, None]
-
-        new_f2v = config.damping * f2v + (1.0 - config.damping) * new_f2v
-        change = float(np.abs(new_f2v - f2v).max())
-        f2v = new_f2v
-        emit_trace(iterations, f2v, v2f)
-        if change <= config.tolerance:
+        v2f = cavity(beliefs_from(f2v), f2v)
+        to_i = combine(log_kernels[:, :, 0] + v2f[:, 1, None, 0],
+                       log_kernels[:, :, 1] + v2f[:, 1, None, 1])
+        to_j = combine(log_kernels[:, 0, :] + v2f[:, 0, 0, None],
+                       log_kernels[:, 1, :] + v2f[:, 0, 1, None])
+        new_f2v = _normalized(np.stack([to_i, to_j], axis=1))
+        # Damping mixes old and new messages as probabilities.
+        damped = np.logaddexp(log_keep + f2v, log_mix + new_f2v)
+        change = float(np.abs(np.exp(damped) - np.exp(f2v)).max())
+        # Saturated messages can move by many nats and still read as no
+        # change in probability; such a message has not converged either.
+        settled = float(np.abs(damped - f2v).max()) <= MAX_SETTLED_NATS
+        f2v = damped
+        if trace is not None:
+            f2v_prob, v2f_prob = np.exp(f2v), np.exp(v2f)
+            for k, pf in enumerate(graph.pairs):
+                for e, v in ((0, pf.i), (1, pf.j)):
+                    trace.append((iterations, n + k, v, "f2v", *map(float, f2v_prob[k, e])))
+                    trace.append((iterations, n + k, v, "v2f", *map(float, v2f_prob[k, e])))
+        if change <= config.tolerance and settled:
             converged = True
             break
 
     beliefs = beliefs_from(f2v)
-    sums = beliefs.sum(axis=1)
-    if np.any(sums <= 0.0) or not np.isfinite(sums).all():
-        v = int(np.flatnonzero((sums <= 0.0) | ~np.isfinite(sums))[0])
-        raise NumericalError(f"variable {v}: belief vanished")
-    marginals = beliefs / sums[:, None]
-
+    log_marginals = _normalized(beliefs)
     # Factor beliefs from the final variable-to-factor messages.
-    if n_pairs:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v2f = beliefs[endpoints].reshape(n_pairs, 2, 2) / f2v
-        v2f = np.where(np.isfinite(v2f), v2f, 0.0)
-        v2f_sums = v2f.sum(axis=2)
-        v2f_sums[v2f_sums == 0.0] = 1.0
-        v2f = v2f / v2f_sums[:, :, None]
-        pair_beliefs = kernels * v2f[:, 0, :, None] * v2f[:, 1, None, :]
-        pb_sums = pair_beliefs.sum(axis=(1, 2))
-        if np.any(pb_sums <= 0.0) or not np.isfinite(pb_sums).all():
-            k = int(np.flatnonzero((pb_sums <= 0.0) | ~np.isfinite(pb_sums))[0])
-            raise NumericalError(f"pair factor {k}: factor belief vanished")
-        pair_beliefs /= pb_sums[:, None, None]
-    else:
-        pair_beliefs = np.zeros((0, 2, 2))
-
-    map_labels = (marginals[:, 1] >= marginals[:, 0]).astype(int)
+    v2f = cavity(beliefs, f2v)
+    log_pairs = (log_kernels + v2f[:, 0, :, None] + v2f[:, 1, None, :]).reshape(-1, 4)
+    log_pairs = log_pairs - np.logaddexp.reduce(log_pairs, axis=1, keepdims=True)
+    if not (np.isfinite(log_marginals).all() and np.isfinite(log_pairs).all()):
+        raise NumericalError("loopy BP beliefs are not finite: energies overflow float range")
 
     return InferenceResult(
-        node_marginals=marginals,
-        pair_beliefs=pair_beliefs,
-        map_labels=map_labels,
+        node_marginals=np.exp(log_marginals),
+        pair_beliefs=np.exp(log_pairs).reshape(-1, 2, 2),
+        map_labels=(log_marginals[:, 1] >= log_marginals[:, 0]).astype(int),
         log_partition=None,
         converged=converged,
         iterations_used=iterations,

@@ -99,6 +99,8 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
     detections = []
     seen = set()
     for tid, box, score in hypotheses:
+        if not 0.0 <= score <= 1.0:
+            raise ValidationError(f"hypothesis score {score} outside [0, 1] at frame {frame}")
         if tid is not None and tid in state.inactive:
             continue
         if tid is not None and tid in state.active:

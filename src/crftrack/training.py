@@ -20,6 +20,7 @@ from .factor_graph import INFERENCE_MODES, BpConfig, exact_inference, infer
 from .features import Box, FrameContext, HypothesisWindow
 from .io import TrackFile
 from .metrics import iou
+from .tracker import Tracklet
 
 OWNER_IOU = 0.5
 
@@ -87,15 +88,13 @@ def _sample_terms(sample, params):
     return unary_phi, pair_phi, gold, phi_u_gold, phi_b_gold, graph
 
 
-def log_likelihood(params: ModelParams, samples, mode: str = "exact") -> float:
+def log_likelihood(params: ModelParams, samples) -> float:
     """Sum of log p(gold labels | observations) over the samples.
 
-    Only exact mode is supported: the partition function is cheap at the node
-    budgets used here, and a belief-propagation surrogate would add
-    unquantified error to a value whose whole point is being exact.
+    The partition function is always exact: it is cheap at the node budgets
+    used here, and a belief-propagation surrogate would add unquantified
+    error to a value whose whole point is being exact.
     """
-    if mode != "exact":
-        raise ValidationError("log_likelihood requires exact inference mode")
     total = 0.0
     for sample in samples:
         _, _, _, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
@@ -186,7 +185,8 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
     gt_frames = {f: {r.track_id: r.box() for r in recs}
                  for f, recs in ground_truth.by_frame().items()}
 
-    histories: dict[int, dict] = {}
+    tracklets: dict[int, Tracklet] = {}
+    last_frame: dict[int, int] = {}
     owners: dict[int, int | None] = {}
     negatives, positives = [], []
 
@@ -196,10 +196,9 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
             tid = rec.track_id
             box = rec.box()
             present.add(tid)
-            hist = histories.get(tid)
-            if hist is None or hist["last"] != frame - 1:
-                histories[tid] = {"boxes": [box], "score": rec.score,
-                                  "length": 1, "last": frame}
+            # A tracklet missing from the previous frame restarts its history.
+            if last_frame.get(tid) != frame - 1:
+                tracklets[tid] = Tracklet.fresh(box, rec.score)
                 gt_here = gt_frames.get(frame, {})
                 best = max(gt_here, key=lambda g: iou(box, gt_here[g]), default=None)
                 if best is not None and iou(box, gt_here[best]) >= OWNER_IOU:
@@ -207,16 +206,10 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
                 else:
                     owners[tid] = None
             else:
-                hist["boxes"] = (hist["boxes"] + [box])[-3:]
-                hist["score"] = rec.score
-                hist["length"] += 1
-                hist["last"] = frame
+                tracklets[tid].push(box, rec.score)
+            last_frame[tid] = frame
 
-        windows = []
-        for tid in sorted(present):
-            hist = histories[tid]
-            windows.append(HypothesisWindow(tracklet_id=tid, boxes=tuple(hist["boxes"]),
-                                            score=hist["score"], length=hist["length"]))
+        windows = [tracklets[tid].window(tid) for tid in sorted(present)]
         nodes, _, _, _, _ = compute_feature_tables(windows, params, ctx)
         if not nodes:
             continue

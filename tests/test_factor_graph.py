@@ -117,16 +117,29 @@ class TestSumProduct:
         assert np.allclose(res.node_marginals.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(res.pair_beliefs.sum(axis=(1, 2)), 1.0, atol=1e-9)
 
-    def test_numerical_error_names_factor(self):
-        # Both unary entries underflow exp(-E) to zero.
+    def test_extreme_unary_energies_stay_exact(self):
+        # Both unary entries underflow exp(-E) to zero; log-domain messages
+        # still carry the 100-nat gap between the labels.
         graph = FactorGraph(num_vars=1, unary=np.array([[800.0, 900.0]]))
-        with pytest.raises(NumericalError, match="unary factor 0"):
+        ex = exact_inference(graph)
+        for solver in (sum_product, max_product):
+            res = solver(graph, BpConfig())
+            assert np.array_equal(res.node_marginals, ex.node_marginals)
+            assert np.array_equal(res.map_labels, ex.map_labels)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_energies_raise(self):
+        # Energies near the float limit overflow log-messages to -inf.
+        huge = np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
+        graph = FactorGraph(num_vars=2, unary=np.array([[0.0, -1.7e308], [0.0, 0.0]]),
+                            pairs=[PairFactor(0, 1, huge)])
+        with pytest.raises(NumericalError, match="not finite"):
             sum_product(graph, BpConfig())
 
-    def test_hard_constraints_hit_division_fallback(self):
-        # Energies of 800+ underflow exp(-E) to exact zeros, producing 0/0 in
-        # the cavity-division update; the explicit leave-one-out fallback
-        # must still reach the exact tree fixed point.
+    def test_hard_constraints_reach_tree_fixed_point(self):
+        # Energies of 800+ underflow exp(-E) to exact zeros; log-domain
+        # messages keep them finite, so BP still reaches the exact tree
+        # fixed point.
         flip = np.array([[0.0, 800.0], [800.0, 0.0]])
         graph = FactorGraph(num_vars=3, unary=np.array([[0.0, 900.0], [0, 0], [0, 0]]),
                             pairs=[PairFactor(0, 1, flip), PairFactor(1, 2, flip)])
@@ -164,9 +177,10 @@ class TestMaxProduct:
 
 
 class TestProperties:
-    def test_tree_exactness(self, rng):
+    @pytest.mark.parametrize("scale", (1.0, 400.0))
+    def test_tree_exactness(self, rng, scale):
         for _ in range(50):
-            graph = random_tree_graph(rng)
+            graph = random_tree_graph(rng, scale=scale)
             ex = exact_inference(graph)
             sp = sum_product(graph, TREE_BP)
             mp = max_product(graph, TREE_BP)

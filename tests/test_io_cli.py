@@ -197,6 +197,20 @@ class TestCli:
                      "--out", str(workdir / "out.txt")])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["threshold", "crf"])
+    def test_out_of_range_score_exit_code(self, workdir, capsys, mode):
+        hyp = workdir / "hyp.txt"
+        hyp.write_text("1,1,10,20,30,60,0.9,-1,-1,-1\n2,1,12,20,30,60,1.5,-1,-1,-1\n")
+        (workdir / "seqinfo.txt").write_text(
+            "imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=10\n")
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        code = main(["track", "--hyp", str(hyp), "--seqinfo", str(workdir / "seqinfo.txt"),
+                     "--params", str(workdir / "params.txt"), "--mode", mode,
+                     "--out", str(workdir / "out.txt")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_capacity_error_exit_code(self, workdir, capsys):
         # A node budget beyond the enumeration bound lets 21 CRF nodes in,
         # which exact mode cannot enumerate.

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from crftrack.crf_model import ModelParams, default_params
+from crftrack.crf_model import ModelParams, default_params, with_weights
 from crftrack.errors import ValidationError
 from crftrack.features import Box, FrameContext
 from crftrack.io import TrackFile, TrackRecord, write_mot
@@ -193,6 +195,17 @@ class TestScenario:
         victim_id = event.victim + 1
         victim_kills = [f for f, tid in kills if tid == victim_id]
         assert victim_kills and abs(victim_kills[0] - event.frame) <= 2
+
+    def test_loopy_bp_runs_with_extreme_trained_weights(self):
+        # Weights from 30 epochs of SGD at 14 fps scale the energies into the
+        # hundreds, where exp(-E) underflows; log-domain BP still finishes.
+        spec = replace(battery_spec(seed=10, num_events=4), frame_rate=14.0)
+        hyp, _, ctx = generate_scenario(spec)
+        params, bp = default_params()
+        results = []
+        run(hyp, with_weights(params, 844.18, 3.567), ctx, mode="crf",
+            inference="loopy-bp", bp=bp, results=results)
+        assert [r.frame for r in results] == list(range(1, spec.num_frames + 1))
 
     def test_end_to_end_determinism(self, tmp_path):
         spec = battery_spec(seed=6)

@@ -111,10 +111,6 @@ class TestLogLikelihood:
         two = log_likelihood(table_params, [single_node_sample(), single_node_sample()])
         assert two == pytest.approx(2 * one, abs=1e-12)
 
-    def test_loopy_mode_unsupported(self, table_params):
-        with pytest.raises(ValidationError):
-            log_likelihood(table_params, [single_node_sample()], mode="loopy-bp")
-
 
 class TestGradient:
     def test_single_node_formula(self, table_params):
