@@ -2,11 +2,15 @@
 
 A graph holds energy tables; a labeling y has probability proportional to
 exp(-sum_f E_f(y_f)), so lower energy means more probable. Three inference
-routines are provided: brute-force enumeration (the oracle, exact marginals
-and log partition function), sum-product belief propagation (approximate
-marginals on loopy graphs, exact on trees), and max-product belief
-propagation (approximate MAP). `infer` is the one dispatch from an inference
-mode name to these routines.
+routines are provided: exact enumeration (the oracle, exact marginals and log
+partition function), sum-product belief propagation (approximate marginals on
+loopy graphs, exact on trees), and max-product belief propagation
+(approximate MAP). `infer` is the one dispatch from an inference mode name to
+these routines.
+
+With binary labels the energy is a quadratic form in the labeling, so exact
+inference evaluates all 2**K labelings with a few matrix products over cached
+labeling halves, holding one number per labeling.
 
 Belief propagation keeps its messages as normalized log-probabilities, so an
 energy table whose exp(-E) underflows to zero still passes a finite message;
@@ -17,16 +21,21 @@ as probabilities.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapacityError, NumericalError, ValidationError
 
 # Enumeration bound for exact inference: 2**20 labelings is the ceiling.
 MAX_EXACT_VARS = 20
+
+# Exact inference lays the labelings out on a grid: the first COLUMN_VARS
+# variables index its columns and the rest its rows, so each cached labeling
+# half has at most 2**COLUMN_VARS rows.
+COLUMN_VARS = 10
 
 # Inference modes accepted by `infer`, the CLI and training.
 INFERENCE_MODES = ("exact", "loopy-bp")
@@ -48,17 +57,28 @@ class PairFactor:
         object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorGraph:
-    """num_vars binary variables, one unary energy table each, plus pair factors."""
+    """num_vars binary variables, one unary energy table each, plus pair factors.
+
+    The graph is validated once, when it is built, and cannot be changed after.
+    """
 
     num_vars: int
     unary: np.ndarray
-    pairs: list[PairFactor] = field(default_factory=list)
+    pairs: tuple[PairFactor, ...] = ()
 
     def __post_init__(self):
-        self.unary = np.asarray(self.unary, dtype=float)
+        object.__setattr__(self, "unary", np.asarray(self.unary, dtype=float))
+        object.__setattr__(self, "pairs", tuple(self.pairs))
         self.validate()
+
+    @functools.cached_property
+    def pair_arrays(self):
+        """Endpoints (P, 2) and energy tables (P, 2, 2) of the pair factors."""
+        ends = np.array([(pf.i, pf.j) for pf in self.pairs], dtype=np.intp).reshape(-1, 2)
+        tables = np.array([pf.table for pf in self.pairs], dtype=float).reshape(-1, 2, 2)
+        return ends, tables
 
     def validate(self):
         if self.num_vars < 0:
@@ -76,8 +96,9 @@ class FactorGraph:
                 )
             if pf.table.shape != (2, 2):
                 raise ValidationError(f"pair factor {k} table must be 2x2")
-            if not np.isfinite(pf.table).all():
-                raise ValidationError(f"non-finite energy in pair factor {k}")
+        finite = np.isfinite(self.pair_arrays[1]).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(f"non-finite energy in pair factor {int(np.argmin(finite))}")
 
 
 @dataclass(frozen=True)
@@ -122,58 +143,86 @@ class InferenceResult:
     iterations_used: int
 
 
-def _enumerate_labelings(num_vars):
-    """All 2**K labelings as a (2**K, K) int array; bit v of row m is label of var v."""
-    m = np.arange(1 << num_vars, dtype=np.int64)
-    return ((m[:, None] >> np.arange(num_vars)) & 1).astype(np.int8)
+@functools.lru_cache(maxsize=COLUMN_VARS + 1)
+def _labeling_half(num_vars):
+    """[1 - Y, Y] for the 2**n labelings Y of n variables, as a read-only array.
+
+    Bit v of row m is the label of variable v: Y[m, v] = (m >> v) & 1.
+    """
+    m = np.arange(1 << num_vars)
+    y = ((m[:, None] >> np.arange(num_vars)) & 1).astype(float)
+    half = np.hstack([1.0 - y, y])
+    half.flags.writeable = False
+    return half
 
 
-def _total_energies(graph, labelings):
-    energies = np.zeros(labelings.shape[0])
-    for v in range(graph.num_vars):
-        energies += graph.unary[v, labelings[:, v]]
-    for pf in graph.pairs:
-        energies += pf.table[labelings[:, pf.i], labelings[:, pf.j]]
-    return energies
+def _quadratic_form(graph):
+    """(c, a, Q) with E(y) = c + a.y + y'Qy; Q[i, j] is non-zero only for pairs i < j.
+
+    A 2x2 table is t00 + (t10 - t00) y_i + (t01 - t00) y_j
+    + (t11 - t10 - t01 + t00) y_i y_j in the binary labels.
+    """
+    n = graph.num_vars
+    ends, tables = graph.pair_arrays
+    t00, t01, t10, t11 = tables.reshape(-1, 4).T
+    i, j = ends.T
+    c = graph.unary[:, 0].sum() + t00.sum()
+    a = (graph.unary[:, 1] - graph.unary[:, 0]
+         + np.bincount(np.concatenate([i, j]), np.concatenate([t10 - t00, t01 - t00]),
+                       minlength=n))
+    q = np.bincount(i * n + j, t11 - t10 - t01 + t00, minlength=n * n).reshape(n, n)
+    return c, a, q
+
+
+def _half_energies(half, a, q):
+    """a.y + y'Qy for every labeling y of one half."""
+    y = half[:, half.shape[1] // 2:]
+    return y @ a + ((y @ q) * y).sum(axis=1)
 
 
 def exact_inference(graph: FactorGraph) -> InferenceResult:
-    """Brute-force enumeration of all labelings.
+    """Exact marginals, pair beliefs, log partition function and MAP labeling.
 
-    Returns exact node marginals, factor marginals, the MAP labeling (ties
-    broken toward label 1: among equal-probability labelings the one with the
-    highest enumeration index wins, which resolves a single tied variable to
-    label 1), and the log partition function.
+    The energies of all 2**K labelings form one grid, c + e_rows + e_cols +
+    (R Q_cross) C', over the two cached labeling halves (see COLUMN_VARS).
+    Marginals and pair beliefs are entries of the moment matrix E[z z'] of
+    z = [1 - y, y]. Among exact energy minima the MAP is the one with the
+    highest enumeration index, which resolves a single tied variable to label 1.
     """
-    graph.validate()
-    if graph.num_vars > MAX_EXACT_VARS:
+    n = graph.num_vars
+    if n > MAX_EXACT_VARS:
         raise CapacityError(
-            f"exact inference enumerates 2**K labelings; K={graph.num_vars} exceeds {MAX_EXACT_VARS}"
+            f"exact inference enumerates 2**K labelings; K={n} exceeds {MAX_EXACT_VARS}"
         )
-    labelings = _enumerate_labelings(graph.num_vars)
-    energies = _total_energies(graph, labelings)
+    c, a, q = _quadratic_form(graph)
+    k = min(n, COLUMN_VARS)
+    h = n - k
+    cols, rows = _labeling_half(k), _labeling_half(h)
 
-    log_z = float(logsumexp(-energies))
-    probs = np.exp(-energies - log_z)
+    energies = (rows[:, h:] @ q[:k, k:].T) @ cols[:, k:].T
+    energies += _half_energies(rows, a[k:], q[k:, k:])[:, None]
+    energies += _half_energies(cols, a[:k], q[:k, :k]) + c
+    e_min = energies.min()
+    best = int(np.flatnonzero(energies == e_min)[-1])
 
-    marginals = np.empty((graph.num_vars, 2))
-    for v in range(graph.num_vars):
-        p1 = float(probs @ labelings[:, v])
-        marginals[v] = (1.0 - p1, p1)
-
-    pair_beliefs = np.empty((len(graph.pairs), 2, 2))
-    for k, pf in enumerate(graph.pairs):
-        idx = labelings[:, pf.i] * 2 + labelings[:, pf.j]
-        pair_beliefs[k] = np.bincount(idx, weights=probs, minlength=4).reshape(2, 2)
-
-    best = np.flatnonzero(energies == energies.min())
-    map_labels = labelings[best.max()].astype(int)
+    probs = np.exp(np.subtract(e_min, energies, out=energies), out=energies)
+    total = probs.sum()
+    probs /= total
+    # Moment matrix E[z z'] of z = [1 - y, y], indexed [label, var, label, var].
+    moments = np.empty((2, n, 2, n))
+    moments[:, :k, :, :k] = ((cols.T * probs.sum(axis=0)) @ cols).reshape(2, k, 2, k)
+    moments[:, k:, :, k:] = ((rows.T * probs.sum(axis=1)) @ rows).reshape(2, h, 2, h)
+    cross = ((rows.T @ probs) @ cols).reshape(2, h, 2, k)
+    moments[:, k:, :, :k] = cross
+    moments[:, :k, :, k:] = cross.transpose(2, 3, 0, 1)
+    v = np.arange(n)
+    i, j = graph.pair_arrays[0].T
 
     return InferenceResult(
-        node_marginals=marginals,
-        pair_beliefs=pair_beliefs,
-        map_labels=map_labels,
-        log_partition=log_z,
+        node_marginals=np.stack([moments[0, v, 0, v], moments[1, v, 1, v]], axis=1),
+        pair_beliefs=moments[:, i, :, j],
+        map_labels=(best >> v) & 1,
+        log_partition=float(np.log(total) - e_min),
         converged=True,
         iterations_used=0,
     )
@@ -215,7 +264,6 @@ def _normalized(log_msg):
 
 
 def _message_passing(graph, config, maximize, trace=None):
-    graph.validate()
     n = graph.num_vars
     n_pairs = len(graph.pairs)
     # Messages and beliefs are log-probabilities. Sum-product and max-product
@@ -225,9 +273,10 @@ def _message_passing(graph, config, maximize, trace=None):
     log_mix = math.log1p(-config.damping)
 
     log_unary = _normalized(-graph.unary)
-    log_kernels = -np.array([pf.table for pf in graph.pairs]).reshape(-1, 2, 2)
+    ends, tables = graph.pair_arrays
+    log_kernels = -tables
     # Flattened endpoint variable index per (pair, endpoint) message slot.
-    endpoints = np.array([(pf.i, pf.j) for pf in graph.pairs], dtype=int).reshape(-1)
+    endpoints = ends.reshape(-1)
 
     f2v = np.full((n_pairs, 2, 2), math.log(0.5))  # [pair, endpoint, label]
 

@@ -46,8 +46,9 @@ class FrameContext:
     frame_rate: float
 
     def __post_init__(self):
-        if min(self.image_width, self.image_height, self.frame_rate) <= 0:
-            raise ValidationError("image dimensions and frame rate must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.image_width, self.image_height, self.frame_rate)):
+            raise ValidationError("image dimensions and frame rate must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -159,12 +159,14 @@ def parse_seqinfo(path) -> tuple[FrameContext, int]:
             if key not in SEQINFO_KEYS:
                 continue
             try:
-                values[key] = float(text)
+                values[key] = int(text) if key == "seqLength" else float(text)
             except ValueError:
                 raise FormatError(f"bad value for {key!r}: {text!r}", line=lineno)
     missing = [k for k in SEQINFO_KEYS if k not in values]
     if missing:
         raise FormatError(f"seqinfo missing keys {missing}")
+    if values["seqLength"] < 1:
+        raise FormatError(f"seqLength must be a positive integer, got {values['seqLength']}")
     ctx = FrameContext(image_width=values["imWidth"], image_height=values["imHeight"],
                        frame_rate=values["frameRate"])
-    return ctx, int(values["seqLength"])
+    return ctx, values["seqLength"]

@@ -55,7 +55,10 @@ class TrainingSample:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def tables(self, params: ModelParams):
-        """Feature tables and gold vectors; cached per feature settings."""
+        """Feature tables, stacked pair tables and gold-labeling feature sums.
+
+        Cached per feature settings.
+        """
         key = (params.features, params.node_budget, params.pre_threshold,
                params.short_threshold)
         hit = self._cache.get(key)
@@ -67,8 +70,13 @@ class TrainingSample:
         if set(node_ids) != set(self.gold):
             raise ValidationError(
                 f"gold labels {sorted(self.gold)} do not cover the CRF nodes {node_ids}")
-        gold_vec = np.array([self.gold[tid] for tid in node_ids], dtype=int)
-        value = (unary_phi, pair_phi, gold_vec)
+        gold = np.array([self.gold[tid] for tid in node_ids], dtype=int)
+        ends = np.array([(a, b) for a, b, _ in pair_phi], dtype=int).reshape(-1, 2)
+        pair_stack = np.array([tbl for _, _, tbl in pair_phi]).reshape(-1, 2, 2)
+        phi_u_gold = float(unary_phi[np.arange(len(gold)), gold].sum())
+        phi_b_gold = float(pair_stack[np.arange(len(ends)), gold[ends[:, 0]],
+                                      gold[ends[:, 1]]].sum())
+        value = (unary_phi, pair_phi, pair_stack, phi_u_gold, phi_b_gold)
         self._cache[key] = value
         return value
 
@@ -81,11 +89,9 @@ class TrainResult:
 
 def _sample_terms(sample, params):
     """Gold-labeling feature sums and the CRF graph at current weights."""
-    unary_phi, pair_phi, gold = sample.tables(params)
-    phi_u_gold = float(unary_phi[np.arange(len(gold)), gold].sum()) if len(gold) else 0.0
-    phi_b_gold = float(sum(tbl[gold[a], gold[b]] for a, b, tbl in pair_phi))
+    unary_phi, pair_phi, pair_stack, phi_u_gold, phi_b_gold = sample.tables(params)
     graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b)
-    return unary_phi, pair_phi, gold, phi_u_gold, phi_b_gold, graph
+    return unary_phi, pair_stack, phi_u_gold, phi_b_gold, graph
 
 
 def log_likelihood(params: ModelParams, samples) -> float:
@@ -97,7 +103,7 @@ def log_likelihood(params: ModelParams, samples) -> float:
     """
     total = 0.0
     for sample in samples:
-        _, _, _, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
+        _, _, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
         energy = params.theta_u * phi_u_gold + params.theta_b * phi_b_gold
         log_z = exact_inference(graph).log_partition
         total += -energy - log_z
@@ -112,12 +118,10 @@ def gradient(params: ModelParams, sample: TrainingSample, mode: str = "exact",
     the factor beliefs of sum-product BP. The analytic form is certified
     against finite differences of log_likelihood in the test suite.
     """
-    unary_phi, pair_phi, gold, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
+    unary_phi, pair_stack, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
     result = infer(graph, mode, bp, maximize=False)
     exp_u = float((unary_phi * result.node_marginals).sum())
-    exp_b = 0.0
-    for k, (_, _, tbl) in enumerate(pair_phi):
-        exp_b += float((tbl * result.pair_beliefs[k]).sum())
+    exp_b = float(np.einsum("pab,pab->", pair_stack, result.pair_beliefs))
     return (-phi_u_gold + exp_u, -phi_b_gold + exp_b)
 
 

@@ -15,16 +15,19 @@ def reference_enumeration(graph):
     Deliberately written with plain dicts, itertools and math so it shares no
     code path with the vectorized implementation it checks. Returns
     (marginals, log_z, probs) where probs maps each labeling tuple to its
-    probability and marginals is a list of [p0, p1] per variable.
+    probability and marginals is a list of [p0, p1] per variable. Weights are
+    taken relative to the lowest energy, so large energies do not overflow.
     """
-    weights = {}
+    energies = {}
     for labels in itertools.product((0, 1), repeat=graph.num_vars):
         energy = 0.0
         for v, y in enumerate(labels):
             energy += float(graph.unary[v][y])
         for pf in graph.pairs:
             energy += float(pf.table[labels[pf.i]][labels[pf.j]])
-        weights[labels] = math.exp(-energy)
+        energies[labels] = energy
+    e_min = min(energies.values())
+    weights = {labels: math.exp(e_min - energy) for labels, energy in energies.items()}
     z = sum(weights.values())
     marginals = [[0.0, 0.0] for _ in range(graph.num_vars)]
     probs = {}
@@ -33,7 +36,7 @@ def reference_enumeration(graph):
         probs[labels] = p
         for v, y in enumerate(labels):
             marginals[v][y] += p
-    return marginals, math.log(z), probs
+    return marginals, math.log(z) - e_min, probs
 
 
 def random_tree_graph(rng, max_vars=10, scale=1.0):

@@ -1,12 +1,15 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_full_graph, random_tree_graph, reference_enumeration
 from crftrack.errors import CapacityError, NumericalError, ValidationError
-from crftrack.factor_graph import (BpConfig, FactorGraph, PairFactor, exact_inference,
-                                   infer, max_product, sum_product)
+from crftrack.factor_graph import (COLUMN_VARS, BpConfig, FactorGraph, PairFactor,
+                                   _labeling_half, exact_inference, infer, max_product,
+                                   sum_product)
 
 # BP settings for acyclic graphs: undamped flooding reaches the exact fixed
 # point in finitely many sweeps.
@@ -61,6 +64,65 @@ class TestExactInference:
         assert np.allclose(res.node_marginals.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(res.pair_beliefs.sum(axis=(1, 2)), 1.0, atol=1e-9)
         assert (res.node_marginals >= 0).all() and (res.pair_beliefs >= 0).all()
+
+    @pytest.mark.parametrize("scale", (1.0, 400.0))
+    @pytest.mark.parametrize("k", (*range(1, 9), COLUMN_VARS + 2))
+    def test_matches_reference_across_grid_split(self, k, scale):
+        graph = random_full_graph(np.random.default_rng(k), k, scale)
+        res = exact_inference(graph)
+        ref_marginals, ref_logz, ref_probs = reference_enumeration(graph)
+        ref_pairs = np.zeros((len(graph.pairs), 2, 2))
+        for labels, p in ref_probs.items():
+            for q, pf in enumerate(graph.pairs):
+                ref_pairs[q, labels[pf.i], labels[pf.j]] += p
+        assert res.node_marginals == pytest.approx(np.array(ref_marginals), rel=1e-12)
+        assert res.pair_beliefs == pytest.approx(ref_pairs, rel=1e-12)
+        assert res.log_partition == pytest.approx(ref_logz, rel=1e-12)
+
+    def test_map_ties_take_highest_enumeration_index(self):
+        res = exact_inference(FactorGraph(num_vars=3, unary=np.zeros((3, 2))))
+        assert res.map_labels.tolist() == [1, 1, 1]
+        # (1, 0) has index 1 and (0, 1) index 2; both have the minimum energy 0.
+        xor = np.array([[1.0, 0.0], [0.0, 1.0]])
+        res = exact_inference(FactorGraph(num_vars=2, unary=np.zeros((2, 2)),
+                                          pairs=[PairFactor(0, 1, xor)]))
+        assert res.map_labels.tolist() == [0, 1]
+        # Variable 0 indexes grid columns and variable 11 grid rows: the tied
+        # minima sit at row 0, column 1 and at row 2, column 0.
+        unary = np.tile([0.0, 5.0], (12, 1))
+        unary[[0, 11]] = 0.0
+        res = exact_inference(FactorGraph(num_vars=12, unary=unary,
+                                          pairs=[PairFactor(0, 11, xor)]))
+        assert res.map_labels.tolist() == [0] * 11 + [1]
+
+    def test_twenty_variable_chain_matches_tree_bp(self, rng):
+        k = 20
+        graph = FactorGraph(num_vars=k, unary=rng.normal(0, 1, (k, 2)),
+                            pairs=[PairFactor(v, v + 1, rng.normal(0, 1, (2, 2)))
+                                   for v in range(k - 1)])
+        tracemalloc.start()
+        try:
+            ex = exact_inference(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        bp = sum_product(graph, TREE_BP)
+        assert np.abs(ex.node_marginals - bp.node_marginals).max() < 1e-9
+
+    def test_graph_is_frozen(self):
+        graph = single_var_graph(0.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.num_vars = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.pairs = ()
+
+    def test_cached_labelings_are_read_only(self):
+        half = _labeling_half(3)
+        assert half.shape == (8, 6)
+        assert not half.flags.writeable
+        with pytest.raises(ValueError):
+            half[0, 0] = 1.0
 
     def test_capacity_bound(self):
         graph = FactorGraph(num_vars=21, unary=np.zeros((21, 2)))

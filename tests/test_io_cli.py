@@ -211,6 +211,24 @@ class TestCli:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("seqLength=1e400", "seqLength"), ("seqLength=nan", "seqLength"),
+        ("seqLength=2.5", "seqLength"), ("imWidth=nan", "finite"), ("frameRate=inf", "finite")])
+    def test_bad_seqinfo_value_exit_code(self, workdir, capsys, line, message):
+        assert main(gen_args(workdir)) == 0
+        key = line.partition("=")[0]
+        seqinfo = workdir / "seqinfo.txt"
+        kept = [ln for ln in seqinfo.read_text().splitlines() if not ln.startswith(key + "=")]
+        seqinfo.write_text("\n".join(kept + [line]) + "\n")
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        code = main(["track", "--hyp", str(workdir / "hyp.txt"), "--seqinfo", str(seqinfo),
+                     "--params", str(workdir / "params.txt"), "--mode", "crf",
+                     "--out", str(workdir / "out.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_capacity_error_exit_code(self, workdir, capsys):
         # A node budget beyond the enumeration bound lets 21 CRF nodes in,
         # which exact mode cannot enumerate.
