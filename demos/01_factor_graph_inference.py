@@ -4,11 +4,13 @@ Binary factor graphs: exact enumeration vs belief propagation
 =============================================================
 
 Builds small energy-based graphs and compares the brute-force oracle with
-sum-product and max-product message passing.
+sum-product and max-product message passing. A graph takes its pair factors
+as two stacked arrays: `ends`, the (P, 2) variable pairs, and `tables`, their
+(P, 2, 2) energy tables.
 """
 import numpy as np
 
-from crftrack import BpConfig, FactorGraph, PairFactor
+from crftrack import BpConfig, FactorGraph
 from crftrack import exact_inference, max_product, sum_product
 
 # A single variable with equal energies: both labels equally likely,
@@ -25,8 +27,8 @@ rng = np.random.default_rng(0)
 chain = FactorGraph(
     num_vars=3,
     unary=rng.normal(0, 1, (3, 2)),
-    pairs=[PairFactor(0, 1, rng.normal(0, 1, (2, 2))),
-           PairFactor(1, 2, rng.normal(0, 1, (2, 2)))],
+    ends=[(0, 1), (1, 2)],
+    tables=rng.normal(0, 1, (2, 2, 2)),
 )
 tree_bp = BpConfig(max_iterations=100, tolerance=1e-12, damping=0.0)
 ex = exact_inference(chain)
@@ -41,8 +43,8 @@ print("  max abs difference:", float(np.abs(ex.node_marginals - sp.node_marginal
 full = FactorGraph(
     num_vars=4,
     unary=rng.normal(0, 1, (4, 2)),
-    pairs=[PairFactor(i, j, rng.normal(0, 1, (2, 2)))
-           for i in range(4) for j in range(i + 1, 4)],
+    ends=np.transpose(np.triu_indices(4, 1)),
+    tables=rng.normal(0, 1, (6, 2, 2)),
 )
 ex = exact_inference(full)
 sp = sum_product(full, BpConfig())

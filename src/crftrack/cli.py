@@ -131,6 +131,9 @@ def _cmd_train(args) -> int:
     print(f"samples={len(samples)} negatives={n_neg} "
           f"loglik_init={result.epoch_loglik[0]:.6f} loglik_final={result.epoch_loglik[-1]:.6f}")
     print(f"theta_u={result.params.theta_u:.6f} theta_b={result.params.theta_b:.6f}")
+    if result.epoch_loglik[-1] < result.epoch_loglik[0]:
+        print("warning: SGD lowered the log-likelihood; the learning rate may be too large",
+              file=sys.stderr)
     return 0
 
 
@@ -216,7 +219,8 @@ def main(argv=None) -> int:
     except (FormatError, ValidationError, NumericalError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # Every reader opens its input as ASCII text.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

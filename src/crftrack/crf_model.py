@@ -3,22 +3,24 @@
 Tracklets are first split by score and history thresholds; of the remaining
 candidates at most `node_budget` of the lowest-scoring ones become CRF nodes
 (confident tracklets need no joint reasoning) and the rest stay active
-without entering the graph. The graph has one variable per CRF node.
-`decide_frame` is the one path from a frame's windows to its decisions: it
-assembles the graph, runs MAP inference, and maps labels and bypasses to
-decision kinds.
+without entering the graph. The graph has one variable per CRF node and one
+pair factor per pair of nodes, in the order `pair_ends` fixes; all pair
+tables are computed together as one (P, 2, 2) array. `decide_frame` is the
+one path from a frame's windows to its decisions: it assembles the graph,
+runs MAP inference, and maps labels and bypasses to decision kinds.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .factor_graph import BpConfig, FactorGraph, InferenceResult, PairFactor, infer
-from .features import FeatureParams, FrameContext, binary_feature, unary_feature
+from .factor_graph import BpConfig, FactorGraph, InferenceResult, infer
+from .features import FeatureParams, FrameContext, keep_keep_penalties, unary_feature
 
 # Tracklets younger than this many frames skip the CRF: the kinematic
 # features need three boxes.
@@ -70,11 +72,23 @@ class FrameAssembly:
         return [self.node_map[i] for i in range(len(self.node_map))]
 
 
+@functools.lru_cache(maxsize=64)
+def pair_ends(num_nodes):
+    """Endpoints (i, j), i < j, of every pair of num_nodes nodes as a read-only (P, 2) array.
+
+    Pairs come in row-major order: (0, 1), (0, 2), ..., (1, 2), ...
+    """
+    ends = np.stack(np.triu_indices(num_nodes, 1), axis=1)
+    ends.flags.writeable = False
+    return ends
+
+
 def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
     """Split windows into CRF nodes and bypasses; compute feature tables.
 
     Returns (nodes, unary_phi, pair_phi, bypass_active, bypass_inactive)
-    where nodes is the selected window list ordered by tracklet id.
+    where nodes is the selected window list ordered by tracklet id, unary_phi
+    has shape (n, 2) and pair_phi (P, 2, 2), for the pairs of pair_ends(n).
     """
     ids = [w.tracklet_id for w in windows]
     if len(set(ids)) != len(ids):
@@ -101,25 +115,19 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
     nodes = sorted(candidates, key=lambda w: w.tracklet_id)
 
     fp = params.features
-    if nodes:
-        unary_phi = np.array([[unary_feature(w, 0, fp), unary_feature(w, 1, fp)]
-                              for w in nodes])
-    else:
-        unary_phi = np.zeros((0, 2))
-    pair_phi = []
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            table = np.zeros((2, 2))
-            table[1, 1] = binary_feature(nodes[a], nodes[b], (1, 1), fp, ctx)
-            pair_phi.append((a, b, table))
+    unary_phi = np.array([[unary_feature(w, 0, fp), unary_feature(w, 1, fp)] for w in nodes],
+                         dtype=float).reshape(-1, 2)
+    i, j = pair_ends(len(nodes)).T
+    pair_phi = np.zeros((len(i), 2, 2))
+    pair_phi[:, 1, 1] = keep_keep_penalties(nodes, i, j, fp, ctx)
 
     return nodes, unary_phi, pair_phi, sorted(bypass_active), sorted(bypass_inactive)
 
 
 def graph_from_features(unary_phi, pair_phi, theta_u, theta_b) -> FactorGraph:
     """Energy graph E = theta * phi over the CRF nodes."""
-    pairs = [PairFactor(a, b, theta_b * tbl) for a, b, tbl in pair_phi]
-    return FactorGraph(num_vars=unary_phi.shape[0], unary=theta_u * unary_phi, pairs=pairs)
+    n = unary_phi.shape[0]
+    return FactorGraph(n, theta_u * unary_phi, pair_ends(n), theta_b * pair_phi)
 
 
 def assemble_frame_graph(windows, params: ModelParams, ctx: FrameContext) -> FrameAssembly:
@@ -160,17 +168,14 @@ def decide_inactivation(windows, params: ModelParams, ctx: FrameContext,
 
 def labeling_energy(assembly: FrameAssembly, labels: dict[int, int]) -> float:
     """Total energy of a labeling of the CRF nodes; exp(-E)/Z is its probability."""
-    var_label = {}
-    for vi, tid in assembly.node_map.items():
-        if tid not in labels:
-            raise ValidationError(f"labeling misses CRF node for tracklet {tid}")
-        var_label[vi] = labels[tid]
-    energy = 0.0
-    for vi, y in var_label.items():
-        energy += float(assembly.graph.unary[vi, y])
-    for pf in assembly.graph.pairs:
-        energy += float(pf.table[var_label[pf.i], var_label[pf.j]])
-    return energy
+    bad = [tid for tid in assembly.real_ids if labels.get(tid) not in (0, 1)]
+    if bad:
+        raise ValidationError(f"labeling needs label 0 or 1 for CRF node of tracklet {bad[0]}")
+    y = np.array([labels[tid] for tid in assembly.real_ids], dtype=np.intp)
+    graph = assembly.graph
+    i, j = graph.ends.T
+    return float(graph.unary[np.arange(len(y)), y].sum()
+                 + graph.tables[np.arange(len(i)), y[i], y[j]].sum())
 
 
 # --------------------------------------------------------------------------

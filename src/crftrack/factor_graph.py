@@ -1,12 +1,13 @@
 """Binary-label factor graphs with exact and message-passing inference.
 
-A graph holds energy tables; a labeling y has probability proportional to
-exp(-sum_f E_f(y_f)), so lower energy means more probable. Three inference
-routines are provided: exact enumeration (the oracle, exact marginals and log
-partition function), sum-product belief propagation (approximate marginals on
-loopy graphs, exact on trees), and max-product belief propagation
-(approximate MAP). `infer` is the one dispatch from an inference mode name to
-these routines.
+A graph holds energy tables as read-only arrays: one (K, 2) unary array and
+the pair factors stacked as (P, 2) endpoints and (P, 2, 2) tables. A labeling
+y has probability proportional to exp(-sum_f E_f(y_f)), so lower energy means
+more probable. Three inference routines are provided: exact enumeration (the
+oracle, exact marginals and log partition function), sum-product belief
+propagation (approximate marginals on loopy graphs, exact on trees), and
+max-product belief propagation (approximate MAP). `infer` is the one dispatch
+from an inference mode name to these routines.
 
 With binary labels the energy is a quadratic form in the labeling, so exact
 inference evaluates all 2**K labelings with a few matrix products over cached
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,57 +47,46 @@ MAX_SETTLED_NATS = 1.0
 
 
 @dataclass(frozen=True)
-class PairFactor:
-    """Pairwise factor between variables i < j with energy table[y_i, y_j]."""
-
-    i: int
-    j: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
-
-
-@dataclass(frozen=True)
 class FactorGraph:
-    """num_vars binary variables, one unary energy table each, plus pair factors.
+    """num_vars binary variables with unary energy tables, plus pair factors.
 
-    The graph is validated once, when it is built, and cannot be changed after.
+    unary[v, y_v] is the energy of variable v. Pair factor k joins variables
+    ends[k] = (i, j), i < j, with energy tables[k, y_i, y_j]; `ends` has shape
+    (P, 2) and `tables` (P, 2, 2). The graph copies its arrays into read-only
+    ones and validates them once, when it is built; it cannot change after.
     """
 
     num_vars: int
     unary: np.ndarray
-    pairs: tuple[PairFactor, ...] = ()
+    ends: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.intp))
+    tables: np.ndarray = field(default_factory=lambda: np.empty((0, 2, 2)))
 
     def __post_init__(self):
-        object.__setattr__(self, "unary", np.asarray(self.unary, dtype=float))
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+        for name, dtype in (("unary", float), ("ends", np.intp), ("tables", float)):
+            frozen = np.array(getattr(self, name), dtype=dtype)
+            frozen.flags.writeable = False
+            object.__setattr__(self, name, frozen)
         self.validate()
 
-    @functools.cached_property
-    def pair_arrays(self):
-        """Endpoints (P, 2) and energy tables (P, 2, 2) of the pair factors."""
-        ends = np.array([(pf.i, pf.j) for pf in self.pairs], dtype=np.intp).reshape(-1, 2)
-        tables = np.array([pf.table for pf in self.pairs], dtype=float).reshape(-1, 2, 2)
-        return ends, tables
-
     def validate(self):
-        if self.num_vars < 0:
+        n, ends, tables = self.num_vars, self.ends, self.tables
+        if n < 0:
             raise ValidationError("num_vars must be >= 0")
-        if self.unary.shape != (self.num_vars, 2):
-            raise ValidationError(
-                f"unary table shape {self.unary.shape}, expected {(self.num_vars, 2)}"
-            )
+        if self.unary.shape != (n, 2):
+            raise ValidationError(f"unary table shape {self.unary.shape}, expected {(n, 2)}")
         if not np.isfinite(self.unary).all():
             raise ValidationError("non-finite unary energy")
-        for k, pf in enumerate(self.pairs):
-            if not (0 <= pf.i < pf.j < self.num_vars):
-                raise ValidationError(
-                    f"pair factor {k} references ({pf.i}, {pf.j}); need 0 <= i < j < num_vars"
-                )
-            if pf.table.shape != (2, 2):
-                raise ValidationError(f"pair factor {k} table must be 2x2")
-        finite = np.isfinite(self.pair_arrays[1]).all(axis=(1, 2))
+        if tables.ndim != 3 or tables.shape[1:] != (2, 2) or ends.shape != (len(tables), 2):
+            raise ValidationError(
+                f"pair ends shape {ends.shape} and tables shape {tables.shape}; "
+                "expected (P, 2) and (P, 2, 2)")
+        i, j = ends.T
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
+        if bad.size:
+            k = int(bad[0])
+            raise ValidationError(
+                f"pair factor {k} references ({i[k]}, {j[k]}); need 0 <= i < j < num_vars")
+        finite = np.isfinite(tables).all(axis=(1, 2))
         if not finite.all():
             raise ValidationError(f"non-finite energy in pair factor {int(np.argmin(finite))}")
 
@@ -163,9 +153,8 @@ def _quadratic_form(graph):
     + (t11 - t10 - t01 + t00) y_i y_j in the binary labels.
     """
     n = graph.num_vars
-    ends, tables = graph.pair_arrays
-    t00, t01, t10, t11 = tables.reshape(-1, 4).T
-    i, j = ends.T
+    t00, t01, t10, t11 = graph.tables.reshape(-1, 4).T
+    i, j = graph.ends.T
     c = graph.unary[:, 0].sum() + t00.sum()
     a = (graph.unary[:, 1] - graph.unary[:, 0]
          + np.bincount(np.concatenate([i, j]), np.concatenate([t10 - t00, t01 - t00]),
@@ -216,7 +205,7 @@ def exact_inference(graph: FactorGraph) -> InferenceResult:
     moments[:, k:, :, :k] = cross
     moments[:, :k, :, k:] = cross.transpose(2, 3, 0, 1)
     v = np.arange(n)
-    i, j = graph.pair_arrays[0].T
+    i, j = graph.ends.T
 
     return InferenceResult(
         node_marginals=np.stack([moments[0, v, 0, v], moments[1, v, 1, v]], axis=1),
@@ -265,7 +254,7 @@ def _normalized(log_msg):
 
 def _message_passing(graph, config, maximize, trace=None):
     n = graph.num_vars
-    n_pairs = len(graph.pairs)
+    n_pairs = len(graph.tables)
     # Messages and beliefs are log-probabilities. Sum-product and max-product
     # differ only in how a factor folds out the other endpoint's label.
     combine = np.maximum if maximize else np.logaddexp
@@ -273,10 +262,9 @@ def _message_passing(graph, config, maximize, trace=None):
     log_mix = math.log1p(-config.damping)
 
     log_unary = _normalized(-graph.unary)
-    ends, tables = graph.pair_arrays
-    log_kernels = -tables
+    log_kernels = -graph.tables
     # Flattened endpoint variable index per (pair, endpoint) message slot.
-    endpoints = ends.reshape(-1)
+    endpoints = graph.ends.reshape(-1)
 
     f2v = np.full((n_pairs, 2, 2), math.log(0.5))  # [pair, endpoint, label]
 
@@ -307,8 +295,8 @@ def _message_passing(graph, config, maximize, trace=None):
         f2v = damped
         if trace is not None:
             f2v_prob, v2f_prob = np.exp(f2v), np.exp(v2f)
-            for k, pf in enumerate(graph.pairs):
-                for e, v in ((0, pf.i), (1, pf.j)):
+            for k, pair in enumerate(graph.ends.tolist()):
+                for e, v in enumerate(pair):
                     trace.append((iterations, n + k, v, "f2v", *map(float, f2v_prob[k, e])))
                     trace.append((iterations, n + k, v, "v2f", *map(float, v2f_prob[k, e])))
         if change <= config.tolerance and settled:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crf_model import ModelParams, compute_feature_tables, graph_from_features, with_weights
+from .crf_model import (ModelParams, compute_feature_tables, graph_from_features, pair_ends,
+                        with_weights)
 from .errors import FormatError, NumericalError, ValidationError
 from .factor_graph import INFERENCE_MODES, BpConfig, exact_inference, infer
 from .features import Box, FrameContext, HypothesisWindow
@@ -55,7 +56,7 @@ class TrainingSample:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def tables(self, params: ModelParams):
-        """Feature tables, stacked pair tables and gold-labeling feature sums.
+        """Feature tables (n, 2) and (P, 2, 2), and the gold labeling's feature sums.
 
         Cached per feature settings.
         """
@@ -71,12 +72,10 @@ class TrainingSample:
             raise ValidationError(
                 f"gold labels {sorted(self.gold)} do not cover the CRF nodes {node_ids}")
         gold = np.array([self.gold[tid] for tid in node_ids], dtype=int)
-        ends = np.array([(a, b) for a, b, _ in pair_phi], dtype=int).reshape(-1, 2)
-        pair_stack = np.array([tbl for _, _, tbl in pair_phi]).reshape(-1, 2, 2)
+        i, j = pair_ends(len(gold)).T
         phi_u_gold = float(unary_phi[np.arange(len(gold)), gold].sum())
-        phi_b_gold = float(pair_stack[np.arange(len(ends)), gold[ends[:, 0]],
-                                      gold[ends[:, 1]]].sum())
-        value = (unary_phi, pair_phi, pair_stack, phi_u_gold, phi_b_gold)
+        phi_b_gold = float(pair_phi[np.arange(len(i)), gold[i], gold[j]].sum())
+        value = (unary_phi, pair_phi, phi_u_gold, phi_b_gold)
         self._cache[key] = value
         return value
 
@@ -89,9 +88,9 @@ class TrainResult:
 
 def _sample_terms(sample, params):
     """Gold-labeling feature sums and the CRF graph at current weights."""
-    unary_phi, pair_phi, pair_stack, phi_u_gold, phi_b_gold = sample.tables(params)
+    unary_phi, pair_phi, phi_u_gold, phi_b_gold = sample.tables(params)
     graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b)
-    return unary_phi, pair_stack, phi_u_gold, phi_b_gold, graph
+    return unary_phi, pair_phi, phi_u_gold, phi_b_gold, graph
 
 
 def log_likelihood(params: ModelParams, samples) -> float:
@@ -118,10 +117,10 @@ def gradient(params: ModelParams, sample: TrainingSample, mode: str = "exact",
     the factor beliefs of sum-product BP. The analytic form is certified
     against finite differences of log_likelihood in the test suite.
     """
-    unary_phi, pair_stack, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
+    unary_phi, pair_phi, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
     result = infer(graph, mode, bp, maximize=False)
     exp_u = float((unary_phi * result.node_marginals).sum())
-    exp_b = float(np.einsum("pab,pab->", pair_stack, result.pair_beliefs))
+    exp_b = float(np.einsum("pab,pab->", pair_phi, result.pair_beliefs))
     return (-phi_u_gold + exp_u, -phi_b_gold + exp_b)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crftrack.factor_graph import FactorGraph, PairFactor
+from crftrack.factor_graph import FactorGraph
 
 
 def reference_enumeration(graph):
@@ -23,8 +23,8 @@ def reference_enumeration(graph):
         energy = 0.0
         for v, y in enumerate(labels):
             energy += float(graph.unary[v][y])
-        for pf in graph.pairs:
-            energy += float(pf.table[labels[pf.i]][labels[pf.j]])
+        for (i, j), table in zip(graph.ends.tolist(), graph.tables):
+            energy += float(table[labels[i]][labels[j]])
         energies[labels] = energy
     e_min = min(energies.values())
     weights = {labels: math.exp(e_min - energy) for labels, energy in energies.items()}
@@ -43,19 +43,20 @@ def random_tree_graph(rng, max_vars=10, scale=1.0):
     """Random acyclic graph: each new variable attaches to one earlier one."""
     k = int(rng.integers(1, max_vars + 1))
     unary = rng.normal(0.0, scale, (k, 2))
-    pairs = []
+    ends, tables = [], []
     for v in range(1, k):
-        parent = int(rng.integers(0, v))
-        pairs.append(PairFactor(parent, v, rng.normal(0.0, scale, (2, 2))))
-    return FactorGraph(num_vars=k, unary=unary, pairs=pairs)
+        ends.append((int(rng.integers(0, v)), v))
+        tables.append(rng.normal(0.0, scale, (2, 2)))
+    return FactorGraph(num_vars=k, unary=unary, ends=np.reshape(ends, (-1, 2)),
+                       tables=np.reshape(tables, (-1, 2, 2)))
 
 
 def random_full_graph(rng, k, scale=1.0):
     """Fully connected graph on k variables with gaussian energies."""
     unary = rng.normal(0.0, scale, (k, 2))
-    pairs = [PairFactor(i, j, rng.normal(0.0, scale, (2, 2)))
-             for i in range(k) for j in range(i + 1, k)]
-    return FactorGraph(num_vars=k, unary=unary, pairs=pairs)
+    ends = np.transpose(np.triu_indices(k, 1))
+    tables = rng.normal(0.0, scale, (len(ends), 2, 2))
+    return FactorGraph(num_vars=k, unary=unary, ends=ends, tables=tables)
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ from conftest import random_tree_graph
 from crftrack.cli import main
 from crftrack.crf_model import (assemble_frame_graph, decide_inactivation,
                                 default_params, with_weights)
-from crftrack.factor_graph import (BpConfig, FactorGraph, PairFactor,
-                                   exact_inference, max_product, sum_product)
+from crftrack.factor_graph import (BpConfig, FactorGraph, exact_inference, max_product,
+                                   sum_product)
 from crftrack.io import TrackFile, TrackRecord
 from crftrack.metrics import clear_mot, evaluate, idf1
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
@@ -95,7 +95,7 @@ def harvest_energy_pool(params, bp):
         def observer(frame, windows, ctx=ctx):
             asm = assemble_frame_graph(windows, params, ctx)
             pool_u.extend(np.array(asm.graph.unary[:len(asm.node_map)]))
-            pool_p.extend(np.array(pf.table) for pf in asm.graph.pairs)
+            pool_p.extend(np.array(asm.graph.tables))
 
         run(hyp, params, ctx, mode="crf", bp=bp, observer=observer)
     return np.array(pool_u), np.array(pool_p)
@@ -110,9 +110,9 @@ def test_02_loopy_oracle_agreement():
     for _ in range(1000):
         k = int(rng.integers(3, 11))
         unary = pool_u[rng.integers(0, len(pool_u), k)]
-        pairs = [PairFactor(i, j, pool_p[int(rng.integers(0, len(pool_p)))])
-                 for i in range(k) for j in range(i + 1, k)]
-        graph = FactorGraph(num_vars=k, unary=unary, pairs=pairs)
+        ends = np.transpose(np.triu_indices(k, 1))
+        picks = [int(rng.integers(0, len(pool_p))) for _ in range(len(ends))]
+        graph = FactorGraph(num_vars=k, unary=unary, ends=ends, tables=pool_p[picks])
         ex = exact_inference(graph)
         mp = max_product(graph, BpConfig())
         sp = sum_product(graph, BpConfig())

@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crftrack.crf_model import (ModelParams, assemble_frame_graph, decide_inactivation,
-                                default_params, labeling_energy, load_params,
-                                save_params)
+from crftrack.crf_model import (ModelParams, assemble_frame_graph, compute_feature_tables,
+                                decide_inactivation, default_params, labeling_energy,
+                                load_params, pair_ends, save_params)
 from crftrack.errors import ValidationError
 from crftrack.factor_graph import BpConfig, exact_inference
-from crftrack.features import Box, FeatureParams, FrameContext, HypothesisWindow
+from crftrack.features import (Box, FeatureParams, FrameContext, HypothesisWindow,
+                               boundary_flag, height_change_rate, velocity_change)
+from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
 
 CTX = FrameContext(1920, 1080, 30.0)
 
@@ -30,12 +32,47 @@ def params():
     return ModelParams()
 
 
+@pytest.fixture(scope="module")
+def scenario_frames():
+    """Windows of every CRF frame of one 8-target and one 20-target drift scenario."""
+    params, bp = default_params()
+    frames = {}
+    for num_targets in (8, 20):
+        spec = ScenarioSpec(num_frames=130, num_targets=num_targets, camera_pan=(0.0, 0.8),
+                            seed=num_targets,
+                            drift_events=[DriftEvent(f, 2 * k, 2 * k + 1)
+                                          for k, f in enumerate((18, 44, 70, 96))])
+        hyp, _, ctx = generate_scenario(spec)
+        captured = []
+        run(hyp, params, ctx, mode="crf", inference="exact", bp=bp,
+            observer=lambda frame, windows: captured.append(windows))
+        frames[num_targets] = (captured, ctx)
+    return params, frames
+
+
+def reference_pair_phi(nodes, fp, ctx):
+    """Pair tables one pair at a time, by the printed pairwise formula."""
+    tables = []
+    for a in range(len(nodes)):
+        for b in range(a + 1, len(nodes)):
+            (dvx_a, dvy_a), (dvx_b, dvy_b) = (velocity_change(nodes[a], ctx),
+                                              velocity_change(nodes[b], ctx))
+            box_a, box_b = nodes[a].boxes[-1], nodes[b].boxes[-1]
+            tau = 1.0 / (box_a.height + box_b.height)
+            value = tau * (dvx_a - dvx_b) ** 2 + tau * (dvy_a - dvy_b) ** 2
+            if boundary_flag(box_a, ctx) and boundary_flag(box_b, ctx):
+                value += fp.beta * abs(height_change_rate(nodes[a], ctx, fp)
+                                       - height_change_rate(nodes[b], ctx, fp))
+            tables.append([[0.0, 0.0], [0.0, value]])
+    return np.reshape(tables, (-1, 2, 2))
+
+
 class TestAssembly:
     def test_two_real_nodes_padded_to_budget(self, params):
         windows = [steady_window(1, 0.9), steady_window(2, 0.8, x=500)]
         asm = assemble_frame_graph(windows, params, CTX)
         assert asm.graph.num_vars == 2
-        assert len(asm.graph.pairs) == 1
+        assert len(asm.graph.tables) == 1
         assert asm.node_map == {0: 1, 1: 2}
         assert asm.bypass_active == [] and asm.bypass_inactive == []
 
@@ -81,10 +118,31 @@ class TestAssembly:
         windows = [steady_window(tid, 0.9, x=100 + 200 * tid, step=float(rng.uniform(0, 4)))
                    for tid in range(1, 5)]
         asm = assemble_frame_graph(windows, params, CTX)
-        for pf in asm.graph.pairs:
-            table = np.asarray(pf.table)
+        for table in asm.graph.tables:
             assert table[0, 0] == table[0, 1] == table[1, 0] == 0.0
             assert table[1, 1] >= 0.0
+
+    @pytest.mark.parametrize("num_targets", (8, 20))
+    def test_pair_tables_equal_per_pair_reference(self, scenario_frames, num_targets):
+        params, frames = scenario_frames
+        windows_per_frame, ctx = frames[num_targets]
+        pairs = gated = 0
+        for windows in windows_per_frame:
+            nodes, _, pair_phi, _, _ = compute_feature_tables(windows, params, ctx)
+            assert np.array_equal(pair_phi, reference_pair_phi(nodes, params.features, ctx))
+            inside = [boundary_flag(w.boxes[-1], ctx) for w in nodes]
+            pairs += len(pair_phi)
+            gated += sum(1 for i, j in pair_ends(len(nodes)) if not inside[i] * inside[j])
+        # Both branches of the height term are exercised.
+        assert 0 < gated < pairs
+
+    def test_pair_ends_are_cached_and_read_only(self):
+        ends = pair_ends(4)
+        assert ends.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        assert pair_ends(4) is ends
+        with pytest.raises(ValueError):
+            ends[0, 0] = 3
+        assert pair_ends(0).shape == (0, 2)
 
     def test_duplicate_ids_rejected(self, params):
         windows = [steady_window(1, 0.9), steady_window(1, 0.8, x=500)]
@@ -157,10 +215,27 @@ class TestLabelingEnergy:
             p1 = sum(p for labeling, p in probs.items() if labeling[v] == 1)
             assert p1 == pytest.approx(result.node_marginals[v, 1], abs=1e-12)
 
+    def test_every_labeling_of_a_scenario_frame(self, scenario_frames):
+        params, frames = scenario_frames
+        windows_per_frame, ctx = frames[8]
+        asm = max((assemble_frame_graph(w, params, ctx) for w in windows_per_frame),
+                  key=lambda a: a.graph.num_vars)
+        n = asm.graph.num_vars
+        assert n >= 6 and len(asm.graph.tables) == n * (n - 1) // 2
+        result = exact_inference(asm.graph)
+        energies = np.array([
+            labeling_energy(asm, {tid: (m >> v) & 1 for v, tid in enumerate(asm.real_ids)})
+            for m in range(1 << n)])
+        assert np.exp(-energies - result.log_partition).sum() == pytest.approx(1.0, abs=1e-12)
+        best = int(np.argmin(energies))
+        assert [(best >> v) & 1 for v in range(n)] == result.map_labels.tolist()
+
     def test_missing_label_rejected(self, params):
         asm = assemble_frame_graph([steady_window(1, 0.9)], params, CTX)
         with pytest.raises(ValidationError):
             labeling_energy(asm, {})
+        with pytest.raises(ValidationError):
+            labeling_energy(asm, {1: 2})
 
 
 class TestParameterFiles:

@@ -7,9 +7,8 @@ import pytest
 
 from conftest import random_full_graph, random_tree_graph, reference_enumeration
 from crftrack.errors import CapacityError, NumericalError, ValidationError
-from crftrack.factor_graph import (COLUMN_VARS, BpConfig, FactorGraph, PairFactor,
-                                   _labeling_half, exact_inference, infer, max_product,
-                                   sum_product)
+from crftrack.factor_graph import (COLUMN_VARS, BpConfig, FactorGraph, _labeling_half,
+                                   exact_inference, infer, max_product, sum_product)
 
 # BP settings for acyclic graphs: undamped flooding reaches the exact fixed
 # point in finitely many sweeps.
@@ -52,10 +51,10 @@ class TestExactInference:
         graph = random_full_graph(rng, 4)
         res = exact_inference(graph)
         _, _, ref_probs = reference_enumeration(graph)
-        for k, pf in enumerate(graph.pairs):
+        for k, (i, j) in enumerate(graph.ends.tolist()):
             table = np.zeros((2, 2))
             for labels, p in ref_probs.items():
-                table[labels[pf.i], labels[pf.j]] += p
+                table[labels[i], labels[j]] += p
             assert np.allclose(res.pair_beliefs[k], table, atol=1e-12)
 
     def test_marginals_normalized(self, rng):
@@ -71,10 +70,10 @@ class TestExactInference:
         graph = random_full_graph(np.random.default_rng(k), k, scale)
         res = exact_inference(graph)
         ref_marginals, ref_logz, ref_probs = reference_enumeration(graph)
-        ref_pairs = np.zeros((len(graph.pairs), 2, 2))
+        ref_pairs = np.zeros((len(graph.tables), 2, 2))
         for labels, p in ref_probs.items():
-            for q, pf in enumerate(graph.pairs):
-                ref_pairs[q, labels[pf.i], labels[pf.j]] += p
+            for q, (i, j) in enumerate(graph.ends.tolist()):
+                ref_pairs[q, labels[i], labels[j]] += p
         assert res.node_marginals == pytest.approx(np.array(ref_marginals), rel=1e-12)
         assert res.pair_beliefs == pytest.approx(ref_pairs, rel=1e-12)
         assert res.log_partition == pytest.approx(ref_logz, rel=1e-12)
@@ -85,21 +84,21 @@ class TestExactInference:
         # (1, 0) has index 1 and (0, 1) index 2; both have the minimum energy 0.
         xor = np.array([[1.0, 0.0], [0.0, 1.0]])
         res = exact_inference(FactorGraph(num_vars=2, unary=np.zeros((2, 2)),
-                                          pairs=[PairFactor(0, 1, xor)]))
+                                          ends=[(0, 1)], tables=[xor]))
         assert res.map_labels.tolist() == [0, 1]
         # Variable 0 indexes grid columns and variable 11 grid rows: the tied
         # minima sit at row 0, column 1 and at row 2, column 0.
         unary = np.tile([0.0, 5.0], (12, 1))
         unary[[0, 11]] = 0.0
         res = exact_inference(FactorGraph(num_vars=12, unary=unary,
-                                          pairs=[PairFactor(0, 11, xor)]))
+                                          ends=[(0, 11)], tables=[xor]))
         assert res.map_labels.tolist() == [0] * 11 + [1]
 
     def test_twenty_variable_chain_matches_tree_bp(self, rng):
         k = 20
         graph = FactorGraph(num_vars=k, unary=rng.normal(0, 1, (k, 2)),
-                            pairs=[PairFactor(v, v + 1, rng.normal(0, 1, (2, 2)))
-                                   for v in range(k - 1)])
+                            ends=[(v, v + 1) for v in range(k - 1)],
+                            tables=rng.normal(0, 1, (k - 1, 2, 2)))
         tracemalloc.start()
         try:
             ex = exact_inference(graph)
@@ -115,7 +114,29 @@ class TestExactInference:
         with pytest.raises(dataclasses.FrozenInstanceError):
             graph.num_vars = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
-            graph.pairs = ()
+            graph.tables = ()
+
+    def test_graph_arrays_are_read_only_copies(self, rng):
+        unary = rng.normal(0, 1, (3, 2))
+        ends = np.array([(0, 1), (1, 2)])
+        tables = rng.normal(0, 1, (2, 2, 2))
+        graph = FactorGraph(num_vars=3, unary=unary, ends=ends, tables=tables)
+        with pytest.raises(ValueError):
+            graph.unary[0, 0] = np.inf
+        with pytest.raises(ValueError):
+            graph.ends[0, 0] = 2
+        with pytest.raises(ValueError):
+            graph.tables[0, 0, 0] = np.inf
+        before = (exact_inference(graph), max_product(graph))
+        # Editing the caller's arrays after the build leaves the graph as it was.
+        unary[0] = (50.0, -50.0)
+        ends[1] = (0, 2)
+        tables *= -20.0
+        after = (exact_inference(graph), max_product(graph))
+        for old, new in zip(before, after):
+            assert np.array_equal(old.node_marginals, new.node_marginals)
+            assert np.array_equal(old.pair_beliefs, new.pair_beliefs)
+            assert np.array_equal(old.map_labels, new.map_labels)
 
     def test_cached_labelings_are_read_only(self):
         half = _labeling_half(3)
@@ -134,23 +155,32 @@ class TestExactInference:
             FactorGraph(num_vars=1, unary=np.array([[np.inf, 0.0]]))
         with pytest.raises(ValidationError):
             FactorGraph(num_vars=2, unary=np.zeros((2, 2)),
-                        pairs=[PairFactor(0, 1, np.array([[np.nan, 0], [0, 0]]))])
+                        ends=[(0, 1)], tables=[np.array([[np.nan, 0], [0, 0]])])
+        with pytest.raises(ValidationError, match="pair factor 1"):
+            FactorGraph(num_vars=3, unary=np.zeros((3, 2)), ends=[(0, 1), (1, 2)],
+                        tables=[np.zeros((2, 2)), [[0, 0], [0, np.inf]]])
 
     def test_pair_index_validation(self):
         with pytest.raises(ValidationError):
             FactorGraph(num_vars=2, unary=np.zeros((2, 2)),
-                        pairs=[PairFactor(1, 0, np.zeros((2, 2)))])
+                        ends=[(1, 0)], tables=np.zeros((1, 2, 2)))
         with pytest.raises(ValidationError):
             FactorGraph(num_vars=2, unary=np.zeros((2, 2)),
-                        pairs=[PairFactor(0, 2, np.zeros((2, 2)))])
+                        ends=[(0, 2)], tables=np.zeros((1, 2, 2)))
+        with pytest.raises(ValidationError, match=r"pair factor 1 references \(2, 1\)"):
+            FactorGraph(num_vars=3, unary=np.zeros((3, 2)),
+                        ends=[(0, 1), (2, 1)], tables=np.zeros((2, 2, 2)))
+        for ends, tables in (([(0, 1)], np.zeros((2, 2, 2))), ([(0, 1)], np.zeros((1, 3, 2))),
+                             ([0, 1], np.zeros((1, 2, 2)))):
+            with pytest.raises(ValidationError, match="shape"):
+                FactorGraph(num_vars=2, unary=np.zeros((2, 2)), ends=ends, tables=tables)
 
 
 class TestSumProduct:
     def test_exact_on_chain(self, rng):
         unary = rng.normal(0, 1, (3, 2))
-        pairs = [PairFactor(0, 1, rng.normal(0, 1, (2, 2))),
-                 PairFactor(1, 2, rng.normal(0, 1, (2, 2)))]
-        graph = FactorGraph(num_vars=3, unary=unary, pairs=pairs)
+        graph = FactorGraph(num_vars=3, unary=unary, ends=[(0, 1), (1, 2)],
+                            tables=rng.normal(0, 1, (2, 2, 2)))
         res = sum_product(graph, TREE_BP)
         ex = exact_inference(graph)
         assert res.converged
@@ -158,9 +188,8 @@ class TestSumProduct:
 
     def test_zero_pair_tables_give_independence(self, rng):
         unary = rng.normal(0, 1, (4, 2))
-        pairs = [PairFactor(i, j, np.zeros((2, 2)))
-                 for i in range(4) for j in range(i + 1, 4)]
-        graph = FactorGraph(num_vars=4, unary=unary, pairs=pairs)
+        graph = FactorGraph(num_vars=4, unary=unary, ends=np.transpose(np.triu_indices(4, 1)),
+                            tables=np.zeros((6, 2, 2)))
         res = sum_product(graph, BpConfig())
         expected = np.exp(-unary)
         expected /= expected.sum(axis=1, keepdims=True)
@@ -194,7 +223,7 @@ class TestSumProduct:
         # Energies near the float limit overflow log-messages to -inf.
         huge = np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
         graph = FactorGraph(num_vars=2, unary=np.array([[0.0, -1.7e308], [0.0, 0.0]]),
-                            pairs=[PairFactor(0, 1, huge)])
+                            ends=[(0, 1)], tables=[huge])
         with pytest.raises(NumericalError, match="not finite"):
             sum_product(graph, BpConfig())
 
@@ -204,7 +233,7 @@ class TestSumProduct:
         # fixed point.
         flip = np.array([[0.0, 800.0], [800.0, 0.0]])
         graph = FactorGraph(num_vars=3, unary=np.array([[0.0, 900.0], [0, 0], [0, 0]]),
-                            pairs=[PairFactor(0, 1, flip), PairFactor(1, 2, flip)])
+                            ends=[(0, 1), (1, 2)], tables=[flip, flip])
         ex = exact_inference(graph)
         sp = sum_product(graph, TREE_BP)
         mp = max_product(graph, TREE_BP)
@@ -253,19 +282,19 @@ class TestProperties:
         graph = random_full_graph(rng, 4)
         base = exact_inference(graph)
         shift = 2.5
-        shifted_pairs = [PairFactor(pf.i, pf.j, pf.table + shift) for pf in graph.pairs]
-        shifted = FactorGraph(num_vars=4, unary=graph.unary, pairs=shifted_pairs)
+        shifted = FactorGraph(num_vars=4, unary=graph.unary, ends=graph.ends,
+                              tables=graph.tables + shift)
         res = exact_inference(shifted)
         assert np.abs(res.node_marginals - base.node_marginals).max() < 1e-12
         assert np.array_equal(res.map_labels, base.map_labels)
-        expected_logz = base.log_partition - shift * len(graph.pairs)
+        expected_logz = base.log_partition - shift * len(graph.tables)
         assert res.log_partition == pytest.approx(expected_logz, abs=1e-9)
 
     def test_energy_shift_invariance_bp(self, rng):
         graph = random_full_graph(rng, 4)
         base = sum_product(graph, BpConfig())
-        shifted_pairs = [PairFactor(pf.i, pf.j, pf.table + 1.7) for pf in graph.pairs]
-        shifted = FactorGraph(num_vars=4, unary=graph.unary + 0.9, pairs=shifted_pairs)
+        shifted = FactorGraph(num_vars=4, unary=graph.unary + 0.9, ends=graph.ends,
+                              tables=graph.tables + 1.7)
         res = sum_product(shifted, BpConfig())
         assert np.abs(res.node_marginals - base.node_marginals).max() < 1e-9
 
@@ -273,16 +302,15 @@ class TestProperties:
         for lam in (0.3, 2.0, 17.0):
             graph = random_full_graph(rng, 5)
             base = exact_inference(graph)
-            scaled = FactorGraph(
-                num_vars=5, unary=lam * graph.unary,
-                pairs=[PairFactor(pf.i, pf.j, lam * pf.table) for pf in graph.pairs])
+            scaled = FactorGraph(num_vars=5, unary=lam * graph.unary, ends=graph.ends,
+                                 tables=lam * graph.tables)
             assert np.array_equal(exact_inference(scaled).map_labels, base.map_labels)
 
     def test_dummy_node_neutrality(self, rng):
         # Isolated variables with zero energies leave the other nodes untouched.
         graph = random_full_graph(rng, 4)
         padded = FactorGraph(num_vars=7, unary=np.vstack([graph.unary, np.zeros((3, 2))]),
-                             pairs=graph.pairs)
+                             ends=graph.ends, tables=graph.tables)
         for solver, kwargs in ((exact_inference, {}), (sum_product, {"config": BpConfig()}),
                                (max_product, {"config": BpConfig()})):
             base = solver(graph, **kwargs)
@@ -295,12 +323,12 @@ class TestProperties:
         perm = rng.permutation(5)
         unary = np.empty_like(graph.unary)
         unary[perm] = graph.unary
-        pairs = []
-        for pf in graph.pairs:
-            a, b = perm[pf.i], perm[pf.j]
-            table = pf.table if a < b else pf.table.T
-            pairs.append(PairFactor(min(a, b), max(a, b), table))
-        permuted = FactorGraph(num_vars=5, unary=unary, pairs=pairs)
+        ends, tables = [], []
+        for (i, j), table in zip(graph.ends.tolist(), graph.tables):
+            a, b = perm[i], perm[j]
+            ends.append((min(a, b), max(a, b)))
+            tables.append(table if a < b else table.T)
+        permuted = FactorGraph(num_vars=5, unary=unary, ends=ends, tables=tables)
         base = exact_inference(graph)
         res = exact_inference(permuted)
         assert np.abs(res.node_marginals[perm] - base.node_marginals).max() < 1e-12

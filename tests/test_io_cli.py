@@ -106,6 +106,26 @@ def gen_args(d, suffix=""):
             "--out-seqinfo", str(d / f"seqinfo{suffix}.txt")]
 
 
+def train_args(d, lr):
+    """Parameters, a generated sequence and its threshold-only run; then train args."""
+    from crftrack.crf_model import default_params, save_params
+    save_params(d / "params.txt", *default_params())
+    assert main(gen_args(d)) == 0
+    runs, gts = d / "runs", d / "gts"
+    runs.mkdir(), gts.mkdir()
+    assert main(["track", "--hyp", str(d / "hyp.txt"), "--seqinfo", str(d / "seqinfo.txt"),
+                 "--params", str(d / "params.txt"),
+                 "--mode", "threshold", "--out", str(runs / "seq.txt")]) == 0
+    (gts / "seq.txt").write_bytes((d / "gt.txt").read_bytes())
+    (runs / "seq.seqinfo").write_bytes((d / "seqinfo.txt").read_bytes())
+    return ["train", "--runs", str(runs), "--gt", str(gts),
+            "--params-init", str(d / "params.txt"),
+            "--lr", lr, "--epochs", "2", "--ratio", "3", "--seed", "5",
+            "--inference", "exact",
+            "--out-params", str(d / "trained.txt"),
+            "--out-dataset", str(d / "dataset.txt")]
+
+
 class TestCli:
     def test_gen_track_eval_pipeline(self, workdir, capsys):
         assert main(gen_args(workdir)) == 0
@@ -157,32 +177,59 @@ class TestCli:
         assert dump and all(len(line.split(",")) == 6 for line in dump)
 
     def test_train_and_check_gradients(self, workdir, capsys):
-        from crftrack.crf_model import default_params, load_params, save_params
-        params, bp = default_params()
-        save_params(workdir / "params.txt", params, bp)
-        assert main(gen_args(workdir)) == 0
-        # Baseline run to learn from.
-        runs = workdir / "runs"
-        gts = workdir / "gts"
-        runs.mkdir(), gts.mkdir()
-        assert main(["track", "--hyp", str(workdir / "hyp.txt"),
-                     "--seqinfo", str(workdir / "seqinfo.txt"),
-                     "--params", str(workdir / "params.txt"),
-                     "--mode", "threshold", "--out", str(runs / "seq.txt")]) == 0
-        (gts / "seq.txt").write_bytes((workdir / "gt.txt").read_bytes())
-        (runs / "seq.seqinfo").write_bytes((workdir / "seqinfo.txt").read_bytes())
-        assert main(["train", "--runs", str(runs), "--gt", str(gts),
-                     "--params-init", str(workdir / "params.txt"),
-                     "--lr", "0.01", "--epochs", "2", "--ratio", "3", "--seed", "5",
-                     "--inference", "exact",
-                     "--out-params", str(workdir / "trained.txt"),
-                     "--out-dataset", str(workdir / "dataset.txt")]) == 0
+        from crftrack.crf_model import default_params, load_params
+        params, _ = default_params()
+        assert main(train_args(workdir, "0.01")) == 0
         trained, _ = load_params(workdir / "trained.txt")
         assert trained.theta_u != params.theta_u
         assert main(["check-gradients", "--params", str(workdir / "params.txt"),
                      "--dataset", str(workdir / "dataset.txt"), "--h", "1e-5"]) == 0
-        out = capsys.readouterr().out
-        assert "max_relative_error" in out
+        captured = capsys.readouterr()
+        assert "max_relative_error" in captured.out
+        assert "warning" not in captured.err
+
+    def test_train_warns_when_loglik_falls(self, workdir, capsys):
+        # A step this large overshoots the likelihood maximum on every update.
+        assert main(train_args(workdir, "1000")) == 0
+        captured = capsys.readouterr()
+        init, final = (float(field.partition("=")[2]) for field in
+                       captured.out.split() if field.startswith("loglik_"))
+        assert final < init
+        assert captured.err.startswith("warning: SGD lowered the log-likelihood")
+
+    @pytest.mark.parametrize("target, byte", [
+        ("mot", b"\xff"), ("seqinfo", b"\xe9"), ("params", b"\xff"), ("frame", b"\xff"),
+        ("spec", b"\xff"), ("dataset", b"\xff")])
+    def test_non_ascii_input_exit_code(self, workdir, capsys, target, byte):
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        assert main(gen_args(workdir)) == 0
+        (workdir / "frame.json").write_text(json.dumps(
+            {"image_width": 1920, "image_height": 1080, "frame_rate": 30, "windows": []}))
+        (workdir / "dataset.txt").write_text("")
+        d = {name: str(workdir / name) for name in ("hyp.txt", "gt.txt", "seqinfo.txt",
+                                                     "params.txt", "frame.json",
+                                                     "dataset.txt", "out.txt")}
+        track = ["track", "--hyp", d["hyp.txt"], "--seqinfo", d["seqinfo.txt"],
+                 "--params", d["params.txt"], "--mode", "crf", "--out", d["out.txt"]]
+        file, command = {
+            "mot": ("gt.txt", ["eval", "--gt", d["gt.txt"], "--hyp", d["hyp.txt"],
+                               "--out", d["out.txt"]]),
+            "seqinfo": ("seqinfo.txt", track),
+            "params": ("params.txt", track),
+            "frame": ("frame.json", ["infer", "--frame-json", d["frame.json"],
+                                     "--params", d["params.txt"]]),
+            "spec": ("spec.json", gen_args(workdir)),
+            "dataset": ("dataset.txt", ["check-gradients", "--params", d["params.txt"],
+                                        "--dataset", d["dataset.txt"]]),
+        }[target]
+        bad = workdir / file
+        bad.write_bytes(bad.read_bytes() + byte + b"\n")
+        capsys.readouterr()
+        code = main(command)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_format_error_exit_code(self, workdir):
         bad = workdir / "bad.txt"
