@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--ratio", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inference", choices=INFERENCE_MODES, default="exact")
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-dataset", default=None)
 
@@ -100,8 +99,7 @@ def _cmd_track(args) -> int:
 def _cmd_train(args) -> int:
     params, bp = crf_model.load_params(args.params_init)
     config = training.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                                  positive_ratio=args.ratio, shuffle_seed=args.seed,
-                                  inference_mode=args.inference)
+                                  positive_ratio=args.ratio, shuffle_seed=args.seed)
     run_files = sorted(Path(args.runs).glob("*.txt"))
     if not run_files:
         raise FormatError(f"no run files (*.txt) found in {args.runs}")
@@ -122,13 +120,13 @@ def _cmd_train(args) -> int:
     if args.out_dataset:
         training.save_dataset(args.out_dataset, samples)
     if not samples:
-        print("warning: no negative frames found; dataset is empty, weights unchanged")
+        print("warning: no negative frames found; dataset is empty, weights unchanged",
+              file=sys.stderr)
         crf_model.save_params(args.out_params, params, bp)
         return 0
     result = training.sgd_train(samples, params, config, bp)
     crf_model.save_params(args.out_params, result.params, bp)
-    n_neg = sum(1 for s in samples if s.negative)
-    print(f"samples={len(samples)} negatives={n_neg} "
+    print(f"samples={len(samples)} negatives={sum(s.negative for s in samples)} "
           f"loglik_init={result.epoch_loglik[0]:.6f} loglik_final={result.epoch_loglik[-1]:.6f}")
     print(f"theta_u={result.params.theta_u:.6f} theta_b={result.params.theta_b:.6f}")
     if result.epoch_loglik[-1] < result.epoch_loglik[0]:
@@ -187,9 +185,7 @@ def _cmd_check_gradients(args) -> int:
     samples = training.load_dataset(args.dataset)
     if not samples:
         raise FormatError(f"dataset {args.dataset} holds no samples")
-    worst = 0.0
-    for sample in samples:
-        worst = max(worst, training.finite_diff_check(params, sample, args.h))
+    worst = max(training.finite_diff_check(params, sample, args.h) for sample in samples)
     print(f"samples={len(samples)} h={args.h} max_relative_error={worst:.3e}")
     return 0
 

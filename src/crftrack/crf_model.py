@@ -46,6 +46,9 @@ class ModelParams:
     short_threshold: float = 0.5
 
     def __post_init__(self):
+        for name in ("theta_u", "theta_b"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.node_budget < 1:
             raise ValidationError("node_budget must be >= 1")
         for name in ("pre_threshold", "short_threshold"):

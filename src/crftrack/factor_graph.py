@@ -7,11 +7,12 @@ more probable. Three inference routines are provided: exact enumeration (the
 oracle, exact marginals and log partition function), sum-product belief
 propagation (approximate marginals on loopy graphs, exact on trees), and
 max-product belief propagation (approximate MAP). `infer` is the one dispatch
-from an inference mode name to these routines.
+from an inference mode name to a MAP routine.
 
-With binary labels the energy is a quadratic form in the labeling, so exact
-inference evaluates all 2**K labelings with a few matrix products over cached
-labeling halves, holding one number per labeling.
+With binary labels the energy is a quadratic form in the labeling, so
+`labeling_energies` evaluates all 2**K labelings with a few matrix products
+over cached labeling halves, holding one number per labeling. Exact inference
+and the training likelihood both start from that grid.
 
 Belief propagation keeps its messages as normalized log-probabilities, so an
 energy table whose exp(-E) underflows to zero still passes a finite message;
@@ -38,7 +39,7 @@ MAX_EXACT_VARS = 20
 # half has at most 2**COLUMN_VARS rows.
 COLUMN_VARS = 10
 
-# Inference modes accepted by `infer`, the CLI and training.
+# Inference modes accepted by `infer` and the CLI.
 INFERENCE_MODES = ("exact", "loopy-bp")
 
 # Largest log-probability step of any message that loopy BP still counts as
@@ -169,28 +170,38 @@ def _half_energies(half, a, q):
     return y @ a + ((y @ q) * y).sum(axis=1)
 
 
-def exact_inference(graph: FactorGraph) -> InferenceResult:
-    """Exact marginals, pair beliefs, log partition function and MAP labeling.
+def labeling_energies(graph: FactorGraph) -> np.ndarray:
+    """Energies of all 2**K labelings as a grid whose row-major order is enumeration order.
 
-    The energies of all 2**K labelings form one grid, c + e_rows + e_cols +
-    (R Q_cross) C', over the two cached labeling halves (see COLUMN_VARS).
-    Marginals and pair beliefs are entries of the moment matrix E[z z'] of
-    z = [1 - y, y]. Among exact energy minima the MAP is the one with the
-    highest enumeration index, which resolves a single tied variable to label 1.
+    With k = min(K, COLUMN_VARS), entry [r, c] is labeling (r << k) | c. The grid
+    is c + e_rows + e_cols + (R Q_cross) C' over the two cached labeling halves.
     """
     n = graph.num_vars
     if n > MAX_EXACT_VARS:
-        raise CapacityError(
-            f"exact inference enumerates 2**K labelings; K={n} exceeds {MAX_EXACT_VARS}"
-        )
+        raise CapacityError(f"exact inference enumerates 2**K labelings; "
+                            f"K={n} exceeds {MAX_EXACT_VARS}")
     c, a, q = _quadratic_form(graph)
     k = min(n, COLUMN_VARS)
-    h = n - k
-    cols, rows = _labeling_half(k), _labeling_half(h)
+    cols, rows = _labeling_half(k), _labeling_half(n - k)
 
-    energies = (rows[:, h:] @ q[:k, k:].T) @ cols[:, k:].T
+    energies = (rows[:, n - k:] @ q[:k, k:].T) @ cols[:, k:].T
     energies += _half_energies(rows, a[k:], q[k:, k:])[:, None]
     energies += _half_energies(cols, a[:k], q[:k, :k]) + c
+    return energies
+
+
+def exact_inference(graph: FactorGraph) -> InferenceResult:
+    """Exact marginals, pair beliefs, log partition function and MAP labeling.
+
+    All 2**K labeling energies come from `labeling_energies`. Marginals and
+    pair beliefs are entries of the moment matrix E[z z'] of z = [1 - y, y].
+    Among exact energy minima the MAP is the one with the highest enumeration
+    index, which resolves a single tied variable to label 1.
+    """
+    energies = labeling_energies(graph)
+    n, k = graph.num_vars, min(graph.num_vars, COLUMN_VARS)
+    h = n - k
+    cols, rows = _labeling_half(k), _labeling_half(h)
     e_min = energies.min()
     best = int(np.flatnonzero(energies == e_min)[-1])
 
@@ -218,20 +229,20 @@ def exact_inference(graph: FactorGraph) -> InferenceResult:
 
 
 def infer(graph: FactorGraph, mode: str, config: BpConfig | None = None,
-          maximize: bool = True, trace: list | None = None) -> InferenceResult:
-    """Run inference in one of INFERENCE_MODES.
+          trace: list | None = None) -> InferenceResult:
+    """MAP inference in one of INFERENCE_MODES.
 
     "exact" enumerates every labeling, which yields the MAP labels and the
-    marginals at once. "loopy-bp" runs max-product when `maximize` is set,
-    sum-product otherwise, and appends its messages to `trace` when one is
-    given; exact inference passes no messages, so it rejects a trace.
+    marginals at once. "loopy-bp" runs max-product and appends its messages
+    to `trace` when one is given; exact inference passes no messages, so it
+    rejects a trace.
     """
     if mode == "exact":
         if trace is not None:
             raise ValidationError("message traces need loopy-bp inference")
         return exact_inference(graph)
     if mode == "loopy-bp":
-        return (max_product if maximize else sum_product)(graph, config, trace=trace)
+        return max_product(graph, config, trace=trace)
     raise ValidationError(f"unknown inference mode {mode!r}")
 
 

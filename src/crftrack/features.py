@@ -74,6 +74,9 @@ class FeatureParams:
     epsilon_dl: float = 1e-3
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha2", "beta", "high_score_cut", "epsilon_dl"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if min(self.alpha1, self.alpha2, self.beta) < 0:
             raise ValidationError("alpha1, alpha2 and beta must be >= 0")
         if not self.epsilon_dl > 0:

@@ -5,6 +5,10 @@ ground truth: frames where the baseline kept a tracklet whose box no longer
 covers its own trajectory become negative samples, and a multiple of
 well-tracked frames is sampled as positives. Only the two shared weights are
 trained; the feature hyperparameters stay fixed.
+
+Each sample enters the likelihood only through the (2**n, 2) matrix Phi of the
+feature sums (phi_u, phi_b) of all its labelings, built once: log Z is a
+log-sum-exp of -Phi theta, and the gradient is E_p[Phi] - Phi[gold].
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crf_model import (ModelParams, compute_feature_tables, graph_from_features, pair_ends,
-                        with_weights)
+from .crf_model import ModelParams, compute_feature_tables, graph_from_features, with_weights
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import INFERENCE_MODES, BpConfig, exact_inference, infer
+from .factor_graph import labeling_energies
 from .features import Box, FrameContext, HypothesisWindow
 from .io import TrackFile
 from .metrics import iou
@@ -32,15 +35,12 @@ class TrainConfig:
     epochs: int = 30
     positive_ratio: int = 3
     shuffle_seed: int = 0
-    inference_mode: str = "exact"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValidationError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError("learning_rate must be finite and >= 0")
         if self.epochs < 1 or self.positive_ratio < 0:
             raise ValidationError("epochs must be >= 1 and positive_ratio >= 0")
-        if self.inference_mode not in INFERENCE_MODES:
-            raise ValidationError(f"unknown inference mode {self.inference_mode!r}")
 
 
 @dataclass
@@ -56,9 +56,9 @@ class TrainingSample:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def tables(self, params: ModelParams):
-        """Feature tables (n, 2) and (P, 2, 2), and the gold labeling's feature sums.
+        """(Phi, Phi[gold]), cached per feature settings.
 
-        Cached per feature settings.
+        Row m of Phi is (phi_u, phi_b) of the labeling whose bit v is node v's label.
         """
         key = (params.features, params.node_budget, params.pre_threshold,
                params.short_threshold)
@@ -71,11 +71,11 @@ class TrainingSample:
         if set(node_ids) != set(self.gold):
             raise ValidationError(
                 f"gold labels {sorted(self.gold)} do not cover the CRF nodes {node_ids}")
-        gold = np.array([self.gold[tid] for tid in node_ids], dtype=int)
-        i, j = pair_ends(len(gold)).T
-        phi_u_gold = float(unary_phi[np.arange(len(gold)), gold].sum())
-        phi_b_gold = float(pair_phi[np.arange(len(i)), gold[i], gold[j]].sum())
-        value = (unary_phi, pair_phi, phi_u_gold, phi_b_gold)
+        phi = np.stack([labeling_energies(graph_from_features(unary_phi, pair_phi, 1.0, 0.0)),
+                        labeling_energies(graph_from_features(unary_phi, pair_phi, 0.0, 1.0))],
+                       axis=-1).reshape(-1, 2)
+        gold = sum(self.gold[tid] << v for v, tid in enumerate(node_ids))
+        value = (phi, phi[gold].copy())
         self._cache[key] = value
         return value
 
@@ -86,66 +86,56 @@ class TrainResult:
     epoch_loglik: list[float]
 
 
-def _sample_terms(sample, params):
-    """Gold-labeling feature sums and the CRF graph at current weights."""
-    unary_phi, pair_phi, phi_u_gold, phi_b_gold = sample.tables(params)
-    graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b)
-    return unary_phi, pair_phi, phi_u_gold, phi_b_gold, graph
+def _log_partition(phi, theta):
+    """(log Z, E_p[Phi]) under the energies Phi theta, shifted by their minimum."""
+    energies = phi @ theta
+    e_min = energies.min()
+    weights = np.exp(np.subtract(e_min, energies, out=energies), out=energies)
+    total = weights.sum()
+    return math.log(total) - float(e_min), (weights @ phi) / total
 
 
 def log_likelihood(params: ModelParams, samples) -> float:
-    """Sum of log p(gold labels | observations) over the samples.
-
-    The partition function is always exact: it is cheap at the node budgets
-    used here, and a belief-propagation surrogate would add unquantified
-    error to a value whose whole point is being exact.
-    """
+    """Sum of log p(gold labels | observations) over the samples, with exact log Z."""
+    theta = np.array([params.theta_u, params.theta_b])
     total = 0.0
     for sample in samples:
-        _, _, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
-        energy = params.theta_u * phi_u_gold + params.theta_b * phi_b_gold
-        log_z = exact_inference(graph).log_partition
-        total += -energy - log_z
+        phi, phi_gold = sample.tables(params)
+        log_z, _ = _log_partition(phi, theta)
+        total += -float(phi_gold @ theta) - log_z
     return total
 
 
-def gradient(params: ModelParams, sample: TrainingSample, mode: str = "exact",
-             bp: BpConfig | None = None) -> tuple[float, float]:
-    """d log-likelihood / d(theta_u, theta_b) for one sample.
+def gradient(params: ModelParams, sample: TrainingSample) -> tuple[float, float]:
+    """d log-likelihood / d(theta_u, theta_b) for one sample: E_p[Phi] - Phi[gold].
 
-    The expectation term uses exact factor marginals or, in loopy-bp mode,
-    the factor beliefs of sum-product BP. The analytic form is certified
-    against finite differences of log_likelihood in the test suite.
+    The expectation is exact. The test suite certifies it against finite
+    differences of log_likelihood and against exact factor-graph marginals.
     """
-    unary_phi, pair_phi, phi_u_gold, phi_b_gold, graph = _sample_terms(sample, params)
-    result = infer(graph, mode, bp, maximize=False)
-    exp_u = float((unary_phi * result.node_marginals).sum())
-    exp_b = float(np.einsum("pab,pab->", pair_phi, result.pair_beliefs))
-    return (-phi_u_gold + exp_u, -phi_b_gold + exp_b)
+    phi, phi_gold = sample.tables(params)
+    _, expected = _log_partition(phi, np.array([params.theta_u, params.theta_b]))
+    g_u, g_b = expected - phi_gold
+    return float(g_u), float(g_b)
 
 
-def sgd_train(samples, init: ModelParams, config: TrainConfig,
-              bp: BpConfig | None = None) -> TrainResult:
+def sgd_train(samples, init: ModelParams, config: TrainConfig, bp=None) -> TrainResult:
     """Per-sample gradient ascent on the two shared weights.
 
     Samples are reshuffled every epoch with a seeded generator. The returned
     trace holds the exact full-data log-likelihood at initialization and
-    after each epoch.
+    after each epoch. `bp` is unused: training runs no inference routine.
     """
     if not samples:
         raise ValidationError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.shuffle_seed)
     theta_u, theta_b = init.theta_u, init.theta_b
-    trace = [log_likelihood(with_weights(init, theta_u, theta_b), samples)]
+    trace = [log_likelihood(init, samples)]
     for _ in range(config.epochs):
-        order = rng.permutation(len(samples))
-        for idx in order:
-            current = with_weights(init, theta_u, theta_b)
-            g_u, g_b = gradient(current, samples[idx], config.inference_mode, bp)
+        for idx in rng.permutation(len(samples)):
+            g_u, g_b = gradient(with_weights(init, theta_u, theta_b), samples[idx])
             if not (math.isfinite(g_u) and math.isfinite(g_b)):
                 s = samples[idx]
-                raise NumericalError(
-                    f"non-finite gradient on sample {s.sequence}:{s.frame}")
+                raise NumericalError(f"non-finite gradient on sample {s.sequence}:{s.frame}")
             theta_u += config.learning_rate * g_u
             theta_b += config.learning_rate * g_b
         trace.append(log_likelihood(with_weights(init, theta_u, theta_b), samples))
@@ -156,16 +146,13 @@ def finite_diff_check(params: ModelParams, sample: TrainingSample, h: float) -> 
     """Max relative error of the analytic gradient vs centered differences."""
     if not h > 0:
         raise ValidationError("step h must be > 0")
-    g = gradient(params, sample, mode="exact")
     errors = []
-    for component, delta in ((0, (h, 0.0)), (1, (0.0, h))):
-        plus = with_weights(params, params.theta_u + delta[0], params.theta_b + delta[1])
-        minus = with_weights(params, params.theta_u - delta[0], params.theta_b - delta[1])
+    for g, (du, db) in zip(gradient(params, sample), ((h, 0.0), (0.0, h))):
+        plus = with_weights(params, params.theta_u + du, params.theta_b + db)
+        minus = with_weights(params, params.theta_u - du, params.theta_b - db)
         fd = (log_likelihood(plus, [sample]) - log_likelihood(minus, [sample])) / (2 * h)
-        if abs(g[component]) < 1e-12 and abs(fd) < 1e-12:
-            errors.append(0.0)
-        else:
-            errors.append(abs(g[component] - fd) / max(abs(fd), 1e-8))
+        vanishes = abs(g) < 1e-12 and abs(fd) < 1e-12
+        errors.append(0.0 if vanishes else abs(g - fd) / max(abs(fd), 1e-8))
     return max(errors)
 
 
@@ -204,10 +191,8 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
                 tracklets[tid] = Tracklet.fresh(box, rec.score)
                 gt_here = gt_frames.get(frame, {})
                 best = max(gt_here, key=lambda g: iou(box, gt_here[g]), default=None)
-                if best is not None and iou(box, gt_here[best]) >= OWNER_IOU:
-                    owners[tid] = best
-                else:
-                    owners[tid] = None
+                owned = best is not None and iou(box, gt_here[best]) >= OWNER_IOU
+                owners[tid] = best if owned else None
             else:
                 tracklets[tid].push(box, rec.score)
             last_frame[tid] = frame
@@ -286,7 +271,7 @@ def load_dataset(path) -> list[TrainingSample]:
                     state["windows"].append(HypothesisWindow(
                         tracklet_id=tid, boxes=boxes, score=score, length=length))
                     if gold != "-":
-                        state["gold"][tid] = int(gold)
+                        state["gold"][tid] = ("0", "1").index(gold)
                 elif fields[0] == "end":
                     samples.append(TrainingSample(
                         windows=state["windows"], ctx=state["ctx"], gold=state["gold"],

@@ -161,7 +161,7 @@ def test_04_likelihood_ascent():
     hyp, gt, ctx = generate_scenario(spec)
     baseline = run(hyp, params, ctx, mode="threshold-only")
     config = TrainConfig(learning_rate=1e-2, epochs=30, positive_ratio=3,
-                         shuffle_seed=42, inference_mode="exact")
+                         shuffle_seed=42)
     samples = generate_dataset(baseline, gt, params, config, ctx, sequence_id="train42")
     n_neg = sum(1 for s in samples if s.negative)
     n_pos = len(samples) - n_neg
@@ -301,7 +301,6 @@ def test_09_cli_determinism(tmp_path, capsys):
         lambda t: ["train", "--runs", str(runs), "--gt", str(gts),
                    "--params-init", str(tmp_path / "params.txt"),
                    "--lr", "0.01", "--epochs", "2", "--ratio", "3", "--seed", "5",
-                   "--inference", "exact",
                    "--out-params", str(tmp_path / f"trained{t}.txt"),
                    "--out-dataset", str(tmp_path / f"dataset{t}.txt")],
         tmp_path, capsys, ["trained{0}.txt", "dataset{0}.txt"])

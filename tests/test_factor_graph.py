@@ -8,7 +8,8 @@ import pytest
 from conftest import random_full_graph, random_tree_graph, reference_enumeration
 from crftrack.errors import CapacityError, NumericalError, ValidationError
 from crftrack.factor_graph import (COLUMN_VARS, BpConfig, FactorGraph, _labeling_half,
-                                   exact_inference, infer, max_product, sum_product)
+                                   exact_inference, infer, labeling_energies, max_product,
+                                   sum_product)
 
 # BP settings for acyclic graphs: undamped flooding reaches the exact fixed
 # point in finitely many sweeps.
@@ -108,6 +109,17 @@ class TestExactInference:
         assert peak < 64 * 2**20
         bp = sum_product(graph, TREE_BP)
         assert np.abs(ex.node_marginals - bp.node_marginals).max() < 1e-9
+
+    @pytest.mark.parametrize("k", [0, 3, COLUMN_VARS + 2])
+    def test_labeling_energies_in_enumeration_order(self, rng, k):
+        graph = random_full_graph(rng, k)
+        grid = labeling_energies(graph)
+        assert grid.shape == (2 ** (k - min(k, COLUMN_VARS)), 2 ** min(k, COLUMN_VARS))
+        for m, energy in enumerate(grid.ravel()):
+            y = [(m >> v) & 1 for v in range(k)]
+            expected = sum(graph.unary[v, y[v]] for v in range(k)) + sum(
+                t[y[i], y[j]] for (i, j), t in zip(graph.ends.tolist(), graph.tables))
+            assert energy == pytest.approx(expected, abs=1e-12)
 
     def test_graph_is_frozen(self):
         graph = single_var_graph(0.0, 1.0)
@@ -358,11 +370,11 @@ class TestProperties:
 
     def test_infer_dispatch(self, rng):
         graph = random_full_graph(rng, 4)
-        cases = ((("exact", None, True), exact_inference(graph)),
-                 (("loopy-bp", None, True), max_product(graph)),
-                 (("loopy-bp", TREE_BP, False), sum_product(graph, TREE_BP)))
-        for (mode, config, maximize), expected in cases:
-            res = infer(graph, mode, config, maximize=maximize)
+        cases = ((("exact", None), exact_inference(graph)),
+                 (("loopy-bp", None), max_product(graph)),
+                 (("loopy-bp", TREE_BP), max_product(graph, TREE_BP)))
+        for (mode, config), expected in cases:
+            res = infer(graph, mode, config)
             assert np.array_equal(res.node_marginals, expected.node_marginals)
             assert np.array_equal(res.map_labels, expected.map_labels)
         with pytest.raises(ValidationError):

@@ -121,7 +121,6 @@ def train_args(d, lr):
     return ["train", "--runs", str(runs), "--gt", str(gts),
             "--params-init", str(d / "params.txt"),
             "--lr", lr, "--epochs", "2", "--ratio", "3", "--seed", "5",
-            "--inference", "exact",
             "--out-params", str(d / "trained.txt"),
             "--out-dataset", str(d / "dataset.txt")]
 
@@ -196,6 +195,68 @@ class TestCli:
                        captured.out.split() if field.startswith("loglik_"))
         assert final < init
         assert captured.err.startswith("warning: SGD lowered the log-likelihood")
+
+    def test_clean_run_warns_on_stderr(self, workdir, capsys):
+        # Ground truth as its own baseline run has no negative frame to learn from.
+        args = train_args(workdir, "0.01")
+        runs = workdir / "runs"
+        (runs / "seq.txt").write_bytes((workdir / "gt.txt").read_bytes())
+        capsys.readouterr()
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("warning: no negative frames found")
+        assert (workdir / "trained.txt").read_bytes() == (workdir / "params.txt").read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("theta_b", "nan"), ("alpha1", "inf")])
+    def test_non_finite_parameter_exit_code(self, workdir, capsys, key, value):
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        params = workdir / "params.txt"
+        lines = [f"{key}={value}" if ln.startswith(key + "=") else ln
+                 for ln in params.read_text().splitlines()]
+        params.write_text("\n".join(lines) + "\n")
+        # One tracklet: the sequence builds no pair table that could catch a bad weight.
+        (workdir / "hyp.txt").write_text("".join(
+            f"{f},1,{10 + 2 * f},20,30,60,0.9,-1,-1,-1\n" for f in range(1, 6)))
+        (workdir / "seqinfo.txt").write_text(
+            "imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=5\n")
+        for inference in ("exact", "loopy-bp"):
+            code = main(["track", "--hyp", str(workdir / "hyp.txt"),
+                         "--seqinfo", str(workdir / "seqinfo.txt"), "--params", str(params),
+                         "--mode", "crf", "--inference", inference,
+                         "--out", str(workdir / "out.txt")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err and "Traceback" not in err
+
+    def test_non_finite_learning_rate_exit_code(self, workdir, capsys):
+        args = train_args(workdir, "nan")
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "learning_rate" in err and "Traceback" not in err
+        assert not (workdir / "trained.txt").exists()
+
+    def test_training_over_capacity_exit_code(self, workdir, capsys):
+        # check-gradients on a 21-node sample: its labelings cannot be enumerated.
+        from crftrack.crf_model import default_params, save_params
+        from crftrack.features import Box, HypothesisWindow
+        from crftrack.training import TrainingSample, save_dataset
+        params, bp = default_params()
+        save_params(workdir / "params.txt", params, bp)
+        text = (workdir / "params.txt").read_text().replace("node_budget=10", "node_budget=25")
+        (workdir / "params25.txt").write_text(text)
+        windows = [HypothesisWindow(tracklet_id=tid, score=0.9, length=3, boxes=tuple(
+            Box(90.0 * tid + 2 * t, 100.0, 40.0, 100.0) for t in range(3)))
+            for tid in range(21)]
+        save_dataset(workdir / "dataset.txt", [TrainingSample(
+            windows=windows, ctx=FrameContext(1920, 1080, 30.0),
+            gold={tid: 1 for tid in range(21)}, sequence="s", frame=1, negative=False)])
+        code = main(["check-gradients", "--params", str(workdir / "params25.txt"),
+                     "--dataset", str(workdir / "dataset.txt")])
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("target, byte", [
         ("mot", b"\xff"), ("seqinfo", b"\xe9"), ("params", b"\xff"), ("frame", b"\xff"),

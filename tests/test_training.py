@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crftrack.crf_model import ModelParams, default_params, with_weights
-from crftrack.errors import ValidationError
+from crftrack.crf_model import (ModelParams, compute_feature_tables, default_params,
+                                graph_from_features, pair_ends, with_weights)
+from crftrack.errors import CapacityError, ValidationError
+from crftrack.factor_graph import exact_inference
 from crftrack.features import Box, FrameContext, HypothesisWindow
 from crftrack.io import TrackFile, TrackRecord
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
@@ -134,15 +138,66 @@ class TestGradient:
         for sample in samples[:30]:
             assert finite_diff_check(table_params, sample, h=1e-5) <= 1e-4
 
-    def test_loopy_bp_close_to_exact_on_calm_sample(self, table_params):
-        windows = [steady_window(1, 0.9), steady_window(2, 0.8, x=600),
-                   steady_window(3, 0.7, x=1100)]
-        sample = TrainingSample(windows=windows, ctx=CTX, gold={1: 1, 2: 1, 3: 1},
-                                sequence="unit", frame=1, negative=False)
-        exact = gradient(table_params, sample, mode="exact")
-        loopy = gradient(table_params, sample, mode="loopy-bp")
-        assert exact[0] == pytest.approx(loopy[0], rel=1e-2, abs=1e-4)
-        assert exact[1] == pytest.approx(loopy[1], rel=1e-2, abs=1e-4)
+
+def reference_terms(params, sample):
+    """Log-likelihood and gradient of one sample from exact factor-graph inference."""
+    _, unary_phi, pair_phi, _, _ = compute_feature_tables(sample.windows, params, sample.ctx)
+    graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b)
+    ex = exact_inference(graph)
+    gold = np.array([sample.gold[tid] for tid in sorted(sample.gold)], dtype=np.intp)
+    i, j = pair_ends(len(gold)).T
+    phi_u_gold = unary_phi[np.arange(len(gold)), gold].sum()
+    phi_b_gold = pair_phi[np.arange(len(i)), gold[i], gold[j]].sum()
+    loglik = -(params.theta_u * phi_u_gold + params.theta_b * phi_b_gold) - ex.log_partition
+    grad = ((unary_phi * ex.node_marginals).sum() - phi_u_gold,
+            np.einsum("pab,pab->", pair_phi, ex.pair_beliefs) - phi_b_gold)
+    return loglik, grad
+
+
+def crowded_sample(num_nodes):
+    """num_nodes steady, well-separated windows that all become CRF nodes."""
+    windows = [steady_window(tid, 0.5 + 0.02 * tid, x=90.0 * tid) for tid in range(num_nodes)]
+    return TrainingSample(windows=windows, ctx=CTX,
+                          gold={tid: tid % 2 for tid in range(num_nodes)},
+                          sequence="unit", frame=1, negative=True)
+
+
+class TestStatisticsEngine:
+    def test_matches_factor_graph_reference(self, table_params):
+        samples, _ = scenario_dataset(seed=203)
+        assert len(samples) >= 30
+        for params in (table_params, with_weights(table_params, 2.0, 0.5)):
+            for sample in samples[:30]:
+                loglik, grad = reference_terms(params, sample)
+                assert log_likelihood(params, [sample]) == pytest.approx(loglik, rel=1e-12)
+                assert gradient(params, sample) == pytest.approx(grad, rel=1e-12)
+
+    def test_gold_row_is_the_gold_labeling(self, table_params):
+        samples, _ = scenario_dataset(seed=203)
+        sample = next(s for s in samples if s.negative and len(s.gold) > 2)
+        phi, phi_gold = sample.tables(table_params)
+        n = len(sample.gold)
+        assert phi.shape == (2 ** n, 2)
+        labels = [sample.gold[tid] for tid in sorted(sample.gold)]
+        assert np.array_equal(phi_gold, phi[sum(y << v for v, y in enumerate(labels))])
+
+    def test_memory_bound_at_capacity(self, table_params):
+        params = dataclasses.replace(table_params, node_budget=20)
+        sample = crowded_sample(20)
+        tracemalloc.start()
+        try:
+            log_likelihood(params, [sample])
+            gradient(params, sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.tables(params)[0].shape == (2 ** 20, 2)
+        assert peak < 64 * 2**20
+
+    def test_over_capacity_rejected(self, table_params):
+        params = dataclasses.replace(table_params, node_budget=21)
+        with pytest.raises(CapacityError):
+            log_likelihood(params, [crowded_sample(21)])
 
 
 class TestFiniteDiffCheck:
@@ -201,13 +256,22 @@ class TestSgd:
         assert a.params.theta_b == b.params.theta_b
         assert a.epoch_loglik == b.epoch_loglik
 
-    def test_loopy_bp_mode_trains(self):
+    def test_pinned_trajectory(self):
+        # theta and the epoch log-likelihoods of factor-graph-based training
+        # on these inputs, before the statistics engine replaced it.
         samples, _ = scenario_dataset(seed=206)
         init = with_weights(ModelParams(), 0.5, 0.5)
-        config = TrainConfig(epochs=1, shuffle_seed=2, inference_mode="loopy-bp")
-        result = sgd_train(samples[:20], init, config)
-        assert math.isfinite(result.params.theta_u)
-        assert math.isfinite(result.params.theta_b)
+        result = sgd_train(samples, init, TrainConfig(epochs=2, shuffle_seed=7))
+        assert (result.params.theta_u, result.params.theta_b) \
+            == pytest.approx((1.755138925704927, 0.6145400975906306), rel=1e-12)
+        assert result.epoch_loglik == pytest.approx(
+            [-635.7799182504131, -356.2636598857551, -347.22708259289215], rel=1e-12)
+        assert all(type(value) is float for value in result.epoch_loglik)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_bad_learning_rate_rejected(self, rate):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
@@ -227,6 +291,14 @@ class TestDatasetFiles:
             assert a.windows == b.windows
         save_dataset(tmp_path / "again.txt", loaded)
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    def test_non_binary_gold_label_rejected(self, tmp_path):
+        path = tmp_path / "dataset.txt"
+        save_dataset(path, [single_node_sample()])
+        path.write_text(path.read_text().replace(" 3 1\nend", " 3 2\nend"))
+        from crftrack.errors import FormatError
+        with pytest.raises(FormatError, match="line 3"):
+            load_dataset(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
