@@ -145,10 +145,13 @@ def _parse_frame_json(text: str):
                            float(data["frame_rate"]))
         windows = []
         for w in data["windows"]:
+            # A bool is an int subclass, and int() would truncate a float.
+            if not all(type(w[key]) is int for key in ("id", "length")):
+                raise FormatError(f"frame JSON window id and length must be integers, "
+                                  f"got {w['id']!r} and {w['length']!r}")
             boxes = tuple(Box(*(float(v) for v in b)) for b in w["boxes"])
-            windows.append(HypothesisWindow(tracklet_id=int(w["id"]), boxes=boxes,
-                                            score=float(w["score"]),
-                                            length=int(w["length"])))
+            windows.append(HypothesisWindow(tracklet_id=w["id"], boxes=boxes,
+                                            score=float(w["score"]), length=w["length"]))
     except KeyError as exc:
         raise FormatError(f"frame JSON missing field: {exc}")
     except (TypeError, ValueError) as exc:

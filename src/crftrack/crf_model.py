@@ -13,7 +13,7 @@ runs MAP inference, and maps labels and bypasses to decision kinds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -182,40 +182,25 @@ def labeling_energy(assembly: FrameAssembly, labels: dict[int, int]) -> float:
 
 
 # --------------------------------------------------------------------------
-# Parameter files: flat key=value text. The shipped default reproduces the
-# published weights and workflow constants.
+# Parameter files: flat key=value text. The keys are the fields of
+# ModelParams (its `features` excepted), FeatureParams and BpConfig, and each
+# value is read as the type of its field's default. The shipped default
+# reproduces the published weights and workflow constants.
 # --------------------------------------------------------------------------
 
-_FLOAT_KEYS = ("theta_u", "theta_b", "alpha1", "alpha2", "beta", "pre_threshold",
-               "short_threshold", "high_score_cut", "epsilon_dl", "damping",
-               "tolerance")
-_INT_KEYS = ("node_budget", "max_iterations")
-PARAM_KEYS = _FLOAT_KEYS + _INT_KEYS
+PARAM_FIELDS = {f.name: (owner, type(f.default))
+                for owner in (ModelParams, FeatureParams, BpConfig)
+                for f in fields(owner) if f.name != "features"}
 
 
 def save_params(path, params: ModelParams, bp: BpConfig | None = None):
-    bp = bp or BpConfig()
-    values = {
-        "theta_u": params.theta_u,
-        "theta_b": params.theta_b,
-        "alpha1": params.features.alpha1,
-        "alpha2": params.features.alpha2,
-        "beta": params.features.beta,
-        "node_budget": params.node_budget,
-        "pre_threshold": params.pre_threshold,
-        "short_threshold": params.short_threshold,
-        "high_score_cut": params.features.high_score_cut,
-        "epsilon_dl": params.features.epsilon_dl,
-        "damping": bp.damping,
-        "max_iterations": bp.max_iterations,
-        "tolerance": bp.tolerance,
-    }
+    objects = {ModelParams: params, FeatureParams: params.features, BpConfig: bp or BpConfig()}
     with open(path, "w", encoding="ascii") as fh:
-        for key in PARAM_KEYS:
-            fh.write(f"{key}={values[key]}\n")
+        for key, (owner, _) in PARAM_FIELDS.items():
+            fh.write(f"{key}={getattr(objects[owner], key)}\n")
 
 
-def _parse_param_lines(lines, source="<params>"):
+def _parse_params(lines, source) -> tuple[ModelParams, BpConfig]:
     values = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -225,47 +210,35 @@ def _parse_param_lines(lines, source="<params>"):
             raise FormatError(f"{source}: expected key=value, got {line!r}", line=lineno)
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in PARAM_KEYS:
+        if key not in PARAM_FIELDS:
             raise FormatError(f"{source}: unknown parameter {key!r}", line=lineno)
         if key in values:
             raise FormatError(f"{source}: duplicate parameter {key!r}", line=lineno)
         try:
-            values[key] = int(text) if key in _INT_KEYS else float(text)
+            values[key] = PARAM_FIELDS[key][1](text)
         except ValueError:
             raise FormatError(f"{source}: bad value for {key!r}: {text!r}", line=lineno)
-    missing = [k for k in PARAM_KEYS if k not in values]
+    missing = [k for k in PARAM_FIELDS if k not in values]
     if missing:
         raise FormatError(f"{source}: missing parameters {missing}")
-    return values
 
+    def owned_by(owner):
+        return {k: v for k, v in values.items() if PARAM_FIELDS[k][0] is owner}
 
-def _build_params(values) -> tuple[ModelParams, BpConfig]:
-    features = FeatureParams(alpha1=values["alpha1"], alpha2=values["alpha2"],
-                             beta=values["beta"], high_score_cut=values["high_score_cut"],
-                             epsilon_dl=values["epsilon_dl"])
-    params = ModelParams(theta_u=values["theta_u"], theta_b=values["theta_b"],
-                         features=features, node_budget=values["node_budget"],
-                         pre_threshold=values["pre_threshold"],
-                         short_threshold=values["short_threshold"])
-    bp = BpConfig(max_iterations=values["max_iterations"],
-                  tolerance=values["tolerance"], damping=values["damping"])
-    return params, bp
+    features = FeatureParams(**owned_by(FeatureParams))
+    return ModelParams(features=features, **owned_by(ModelParams)), BpConfig(**owned_by(BpConfig))
 
 
 def load_params(path) -> tuple[ModelParams, BpConfig]:
     """Read a parameter file and split it into model and inference settings."""
     with open(path, encoding="ascii") as fh:
-        return _build_params(_parse_param_lines(fh, source=str(path)))
-
-
-def default_params_text() -> str:
-    return resources.files("crftrack.data").joinpath("default_params.txt").read_text("ascii")
+        return _parse_params(fh, str(path))
 
 
 def default_params() -> tuple[ModelParams, BpConfig]:
     """The shipped defaults: published weight values and workflow constants."""
-    return _build_params(_parse_param_lines(default_params_text().splitlines(),
-                                            source="default_params.txt"))
+    text = resources.files("crftrack.data").joinpath("default_params.txt").read_text("ascii")
+    return _parse_params(text.splitlines(), "default_params.txt")
 
 
 def with_weights(params: ModelParams, theta_u: float, theta_b: float) -> ModelParams:

@@ -112,8 +112,8 @@ class BpConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError("tolerance must be finite and > 0")
         if not (0.0 <= self.damping < 1.0):
             raise ValidationError("damping must lie in [0, 1)")
 

@@ -102,6 +102,9 @@ class HypothesisWindow:
             raise ValidationError(f"score {self.score} outside [0, 1]")
         if not 1 <= len(self.boxes) <= 3:
             raise ValidationError("window stores between 1 and 3 boxes")
+        if self.length < len(self.boxes):
+            raise ValidationError(f"tracklet length {self.length} is below its "
+                                  f"{len(self.boxes)} stored boxes")
         if self.length >= 3 and len(self.boxes) < 3:
             raise ValidationError("tracklet of length >= 3 must carry 3 boxes")
 

@@ -37,15 +37,13 @@ class TrackFile:
     records: list[TrackRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        seen = set()
         prev = None
         for rec in self.records:
             key = (rec.frame, rec.track_id)
-            if key in seen:
+            if key == prev:
                 raise FormatError(f"duplicate record for frame {rec.frame}, id {rec.track_id}")
             if prev is not None and key < prev:
                 raise FormatError(f"records not sorted at frame {rec.frame}, id {rec.track_id}")
-            seen.add(key)
             prev = key
 
     def __len__(self):
@@ -84,7 +82,6 @@ def parse_mot(source) -> TrackFile:
         lines = list(source)
 
     records = []
-    seen = set()
     prev_key = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -106,13 +103,12 @@ def parse_mot(source) -> TrackFile:
         if width <= 0 or height <= 0:
             raise FormatError(f"non-positive box dimensions {width}x{height}", line=lineno)
         key = (frame, track_id)
-        if key in seen:
+        if key == prev_key:
             raise FormatError(f"duplicate record for frame {frame}, id {track_id}",
                               line=lineno)
         if prev_key is not None and key < prev_key:
             raise FormatError(f"records not sorted by (frame, id) at frame {frame}, "
                               f"id {track_id}", line=lineno)
-        seen.add(key)
         prev_key = key
         records.append(TrackRecord(frame, track_id, left, top, width, height, score))
 

@@ -17,8 +17,9 @@ features let the CRF inactivate it at drift onset.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -194,6 +195,19 @@ def run(hypotheses: TrackFile, params: ModelParams, ctx: FrameContext,
 # Synthetic scenarios
 # --------------------------------------------------------------------------
 
+def _is_integer(value) -> bool:
+    """Python and numpy integers pass; bool, although an int subclass, does not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# Drift-event geometry, in pixels and frames.
+EXIT_SPEED = 5.0        # victim's speed toward the boundary
+NEIGHBOR_GAP = 75.0     # victim-to-neighbor offset at drift onset
+RIDE_FRAMES = 12        # frames the drifted box rides the neighbor
+ENTRANT_DELAY = 2       # frames between neighbor exit and new entrant
+ENTRANT_SPEED = 3.2     # entrant's speed away from the boundary
+
+
 @dataclass(frozen=True)
 class DriftEvent:
     """At `frame`, the victim's hypothesis starts sliding onto the neighbor."""
@@ -225,20 +239,28 @@ class ScenarioSpec:
     noise_std: float = 0.1
     seed: int = 0
 
-    # Event geometry, in pixels and frames.
-    exit_speed: float = 5.0        # victim's speed toward the boundary
-    neighbor_gap: float = 75.0     # victim-to-neighbor offset at drift onset
-    ride_frames: int = 12          # frames the drifted box rides the neighbor
-    entrant_delay: int = 2         # frames between neighbor exit and new entrant
-    entrant_speed: float = 3.2     # entrant's speed away from the boundary
+    def validate(self) -> FrameContext:
+        """Check every field and return the frame context.
 
-    def validate(self):
+        Raises ValidationError; a size, rate or noise_std that is not a
+        number raises TypeError.
+        """
+        for name in ("num_frames", "num_targets", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num_frames < 1 or self.num_targets < 1:
             raise ValidationError("num_frames and num_targets must be >= 1")
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        ctx = FrameContext(self.image_width, self.image_height, self.frame_rate)
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValidationError("noise_std must be finite and >= 0")
+        if not np.isfinite(self.pan_offsets()).all():
+            raise ValidationError("camera_pan must keep every pan offset finite")
         used = set()
         for ev in self.drift_events:
+            if not all(_is_integer(v) for v in (ev.frame, ev.victim, ev.neighbor)):
+                raise ValidationError(f"drift event fields must be integers: {ev}")
             if not (0 <= ev.victim < self.num_targets) or not (0 <= ev.neighbor < self.num_targets):
                 raise ValidationError(f"drift event references unknown target: {ev}")
             if ev.victim == ev.neighbor:
@@ -246,10 +268,11 @@ class ScenarioSpec:
             if ev.victim in used or ev.neighbor in used:
                 raise ValidationError("each target may participate in at most one drift event")
             used.update((ev.victim, ev.neighbor))
-            span = self.ride_frames + self.entrant_delay + 12
+            span = RIDE_FRAMES + ENTRANT_DELAY + 12
             if not (4 <= ev.frame and ev.frame + span <= self.num_frames):
                 raise ValidationError(
                     f"drift event at frame {ev.frame} does not fit into {self.num_frames} frames")
+        return ctx
 
     def pan_offsets(self) -> np.ndarray:
         """Cumulative pan offset per frame, shape (num_frames + 1, 2); frame 1 is zero."""
@@ -273,9 +296,9 @@ class ScenarioSpec:
 def scenario_from_json(text: str) -> ScenarioSpec:
     """Parse a scenario spec from JSON text.
 
-    Recognized keys: num_frames, image_width, image_height, frame_rate,
-    num_targets, camera_pan ([px, py] or [[start_frame, [px, py]], ...]),
-    drift_events ([[frame, victim, neighbor], ...]), noise_std, seed.
+    The keys are the fields of ScenarioSpec. camera_pan ([px, py] or
+    [[start_frame, [px, py]], ...]) and drift_events ([[frame, victim,
+    neighbor], ...]) are converted; ScenarioSpec.validate checks every value.
     """
     try:
         data = json.loads(text)
@@ -283,12 +306,10 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         raise ValidationError(f"bad scenario JSON: {exc}")
     if not isinstance(data, dict):
         raise ValidationError("scenario JSON must be an object")
-    known = {"num_frames", "image_width", "image_height", "frame_rate",
-             "num_targets", "camera_pan", "drift_events", "noise_std", "seed"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ScenarioSpec)}
     if unknown:
         raise ValidationError(f"unknown scenario keys {sorted(unknown)}")
-    kwargs = {k: data[k] for k in known & set(data) if k not in ("camera_pan", "drift_events")}
+    kwargs = dict(data)
     try:
         if "camera_pan" in data:
             pan = data["camera_pan"]
@@ -297,11 +318,10 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             else:
                 kwargs["camera_pan"] = (float(pan[0]), float(pan[1]))
         if "drift_events" in data:
-            kwargs["drift_events"] = [DriftEvent(int(f), int(v), int(n))
-                                      for f, v, n in data["drift_events"]]
+            kwargs["drift_events"] = [DriftEvent(*ev) for ev in data["drift_events"]]
         spec = ScenarioSpec(**kwargs)
         spec.validate()
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise ValidationError(f"bad scenario field: {exc}")
     return spec
 
@@ -320,7 +340,7 @@ def generate_scenario(spec: ScenarioSpec):
     neighbor's exit point. The entrant spawned at that exit point afterwards
     carries a fresh id from its first frame.
     """
-    spec.validate()
+    ctx = spec.validate()
     rng = np.random.default_rng(spec.seed)
     n_events = len(spec.drift_events)
     n_total = spec.num_targets + n_events
@@ -338,7 +358,6 @@ def generate_scenario(spec: ScenarioSpec):
     score_noise = rng.normal(0.0, 0.008, (n_total, frames + 1))
 
     pan = spec.pan_offsets()
-    ctx = FrameContext(spec.image_width, spec.image_height, spec.frame_rate)
 
     # Per-target base trajectories: center(t) = anchor + velocity * (t - anchor_frame).
     anchors = [(1, np.array([start_x[k], band_y[k]]), np.array([vel_x[k], vel_y[k]]))
@@ -350,9 +369,9 @@ def generate_scenario(spec: ScenarioSpec):
         f = ev.frame
         y_ref = band_y[ev.victim]
         victim_at_f = np.array([12.0, y_ref])
-        anchors[ev.victim] = (f, victim_at_f, np.array([-spec.exit_speed, 0.0]))
-        neighbor_at_f = victim_at_f + np.array([spec.neighbor_gap, 8.0])
-        nb_speed = neighbor_at_f[0] / spec.ride_frames
+        anchors[ev.victim] = (f, victim_at_f, np.array([-EXIT_SPEED, 0.0]))
+        neighbor_at_f = victim_at_f + np.array([NEIGHBOR_GAP, 8.0])
+        nb_speed = neighbor_at_f[0] / RIDE_FRAMES
         anchors[ev.neighbor] = (f, neighbor_at_f, np.array([-nb_speed, 0.0]))
         event_of_victim[ev.victim] = e_idx
         event_of_neighbor[ev.neighbor] = e_idx
@@ -405,7 +424,7 @@ def generate_scenario(spec: ScenarioSpec):
         spawn_idx = spec.num_targets + e_idx
         spawn_id = spawn_idx + 1
 
-        nb_exit = last_visible.get(nb, f + spec.ride_frames)
+        nb_exit = last_visible.get(nb, f + RIDE_FRAMES)
         park_base = base_center(nb, nb_exit)
         for t in range(f, frames + 1):
             if t < f + 2:
@@ -425,10 +444,10 @@ def generate_scenario(spec: ScenarioSpec):
                                         clip_score(0.92 + score_noise[vic, t], lo=0.55)))
 
         # Entrant walking in through the neighbor's exit point.
-        g = nb_exit + spec.entrant_delay
+        g = nb_exit + ENTRANT_DELAY
         spawn_anchor = park_base + np.array([1.0, 0.0])
         for t in range(g, frames + 1):
-            center = spawn_anchor + np.array([spec.entrant_speed, 0.0]) * (t - g) + pan[t]
+            center = spawn_anchor + np.array([ENTRANT_SPEED, 0.0]) * (t - g) + pan[t]
             if not in_image(center):
                 continue
             box = make_box(center, widths[spawn_idx], heights[spawn_idx])

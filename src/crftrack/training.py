@@ -273,6 +273,8 @@ def load_dataset(path) -> list[TrainingSample]:
                     if gold != "-":
                         state["gold"][tid] = ("0", "1").index(gold)
                 elif fields[0] == "end":
+                    if state["ctx"] is None:
+                        raise FormatError("sample block has no ctx line", line=lineno)
                     samples.append(TrainingSample(
                         windows=state["windows"], ctx=state["ctx"], gold=state["gold"],
                         sequence=state["sequence"], frame=state["frame"],

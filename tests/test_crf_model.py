@@ -251,6 +251,7 @@ class TestParameterFiles:
         assert params.short_threshold == 0.5
         assert params.features.high_score_cut == 0.95
         assert bp.damping == 0.5 and bp.max_iterations == 50
+        assert (params, bp) == (ModelParams(), BpConfig())
 
     def test_round_trip(self, tmp_path):
         params = ModelParams(theta_u=0.7, theta_b=0.3,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -208,7 +209,8 @@ class TestCli:
         assert captured.err.startswith("warning: no negative frames found")
         assert (workdir / "trained.txt").read_bytes() == (workdir / "params.txt").read_bytes()
 
-    @pytest.mark.parametrize("key, value", [("theta_b", "nan"), ("alpha1", "inf")])
+    @pytest.mark.parametrize("key, value", [("theta_b", "nan"), ("alpha1", "inf"),
+                                            ("tolerance", "inf")])
     def test_non_finite_parameter_exit_code(self, workdir, capsys, key, value):
         from crftrack.crf_model import default_params, save_params
         save_params(workdir / "params.txt", *default_params())
@@ -355,16 +357,22 @@ class TestCli:
                      "--inference", "exact"])
         assert code == 4
 
-    def test_non_numeric_frame_field_exit_code(self, workdir, capsys):
+    @pytest.mark.parametrize("field", [
+        {"image_width": "abc"}, {"id": 1.7}, {"length": 3.9}, {"length": -3},
+        {"id": True}, {"length": True}])
+    def test_non_numeric_frame_field_exit_code(self, workdir, capsys, field):
         from crftrack.crf_model import default_params, save_params
         save_params(workdir / "params.txt", *default_params())
-        frame = {"image_width": "abc", "image_height": 1080, "frame_rate": 30,
-                 "windows": []}
+        window = {"id": 1, "boxes": [[100, 100, 40, 100]] * 3, "score": 0.9, "length": 3}
+        frame = {"image_width": 1920, "image_height": 1080, "frame_rate": 30,
+                 "windows": [window]}
+        (frame if "image_width" in field else window).update(field)
         (workdir / "frame.json").write_text(json.dumps(frame))
         code = main(["infer", "--frame-json", str(workdir / "frame.json"),
                      "--params", str(workdir / "params.txt")])
         assert code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_message_dump_needs_loopy_bp(self, workdir, capsys):
         from crftrack.crf_model import default_params, save_params
@@ -380,12 +388,18 @@ class TestCli:
         assert "loopy-bp" in capsys.readouterr().err
         assert not (workdir / "msgs.txt").exists()
 
-    @pytest.mark.parametrize("field", [{"camera_pan": 5}, {"camera_pan": [1]},
-                                       {"drift_events": [[1, 2]]}, {"num_frames": "x"}])
+    @pytest.mark.parametrize("field", [
+        {"camera_pan": 5}, {"camera_pan": [1]}, {"drift_events": [[1, 2]]},
+        {"num_frames": "x"}, {"image_width": "abc"}, {"frame_rate": "5"},
+        {"num_targets": 2.5}, {"num_frames": 2.5}, {"image_width": -5},
+        {"noise_std": math.nan}, {"num_targets": True}, {"camera_pan": {}},
+        {"camera_pan": [math.inf, 0.0]}, {"camera_pan": [[1, [0.0, math.nan]]]},
+        {"drift_events": [[20.5, 0, 1]]}, {"seed": -1}])
     def test_wrong_typed_spec_field_exit_code(self, workdir, capsys, field):
         (workdir / "spec.json").write_text(json.dumps({**SPEC_JSON, **field}))
         assert main(gen_args(workdir)) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_exit_code_mapping(self):
         assert exit_code_for(FormatError("x")) == 2

@@ -300,6 +300,15 @@ class TestDatasetFiles:
         with pytest.raises(FormatError, match="line 3"):
             load_dataset(path)
 
+    def test_block_without_ctx_rejected(self, tmp_path):
+        path = tmp_path / "dataset.txt"
+        save_dataset(path, [single_node_sample()])
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if not ln.startswith("ctx ")))
+        from crftrack.errors import FormatError
+        with pytest.raises(FormatError, match="line 3: sample block has no ctx line"):
+            load_dataset(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("sample s 1 neg\nwin not-a-number\nend\n")
