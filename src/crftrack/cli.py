@@ -14,7 +14,6 @@ from pathlib import Path
 from . import crf_model, io, metrics, tracker, training
 from .errors import CapacityError, CrfTrackError, FormatError, NumericalError, ValidationError
 from .factor_graph import INFERENCE_MODES
-from .features import Box, FrameContext, HypothesisWindow
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,32 +134,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_frame_json(text: str):
+def _cmd_infer(args) -> int:
     try:
-        data = json.loads(text)
+        data = json.loads(Path(args.frame_json).read_text(encoding="ascii"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad frame JSON: {exc}")
-    try:
-        ctx = FrameContext(float(data["image_width"]), float(data["image_height"]),
-                           float(data["frame_rate"]))
-        windows = []
-        for w in data["windows"]:
-            # A bool is an int subclass, and int() would truncate a float.
-            if not all(type(w[key]) is int for key in ("id", "length")):
-                raise FormatError(f"frame JSON window id and length must be integers, "
-                                  f"got {w['id']!r} and {w['length']!r}")
-            boxes = tuple(Box(*(float(v) for v in b)) for b in w["boxes"])
-            windows.append(HypothesisWindow(tracklet_id=w["id"], boxes=boxes,
-                                            score=float(w["score"]), length=w["length"]))
-    except KeyError as exc:
-        raise FormatError(f"frame JSON missing field: {exc}")
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad frame JSON field: {exc}")
-    return ctx, windows
-
-
-def _cmd_infer(args) -> int:
-    ctx, windows = _parse_frame_json(Path(args.frame_json).read_text(encoding="ascii"))
+    ctx, windows, _ = io.frame_from_json(data)
     params, bp = crf_model.load_params(args.params)
     trace = [] if args.dump_messages else None
     labels = crf_model.decide_inactivation(windows, params, ctx, args.inference, bp, trace)

@@ -13,11 +13,21 @@ two-window case.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientHistoryError, ValidationError
+
+
+def is_real(value) -> bool:
+    """Python and numpy reals pass; bool, although an int subclass, does not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,9 +62,9 @@ class FrameContext:
     frame_rate: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0
+        if not all(is_real(v) and math.isfinite(v) and v > 0
                    for v in (self.image_width, self.image_height, self.frame_rate)):
-            raise ValidationError("image dimensions and frame rate must be finite and positive")
+            raise ValidationError("image sizes and frame rate must be finite positive numbers")
 
 
 @dataclass(frozen=True)

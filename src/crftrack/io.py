@@ -1,19 +1,24 @@
-"""MOT-style text files: track records and sequence metadata.
+"""Text formats: MOT-style track records, sequence metadata and frame JSON.
 
 One record per line, comma separated, ten fields:
 frame, id, left, top, width, height, score, -1, -1, -1. The three trailing
 fields are placeholders kept for layout compatibility. Pixel values are
-written with two decimals, scores with four, rounded half-up.
+written with two decimals, scores with four, rounded half-up. A frame object
+(one frame's context and windows) is the input of `infer` and, with gold
+labels, one line of a training dataset.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .errors import FormatError
-from .features import Box, FrameContext
+from .features import Box, FrameContext, HypothesisWindow, is_integer, is_real
+
+# Enough digits for any finite double (at most 309 before the point) to 4 decimals.
+_DECIMAL = Context(prec=320, rounding=ROUND_HALF_UP)
 
 
 @dataclass(frozen=True)
@@ -62,15 +67,13 @@ class TrackFile:
         return table
 
 
+def quantize(value: float, decimals: int) -> Decimal:
+    """Exact decimal rounding that never banker's-rounds: 0.125 -> 0.13 at 2 places."""
+    return _DECIMAL.quantize(Decimal(value), Decimal(1).scaleb(-decimals))
+
+
 def round_half_up(value: float, decimals: int) -> float:
-    """Decimal rounding that never banker's-rounds: 0.125 -> 0.13 at 2 places."""
-    q = Decimal(1).scaleb(-decimals)
-    return float(Decimal(value).quantize(q, rounding=ROUND_HALF_UP))
-
-
-def _fmt(value: float, decimals: int) -> str:
-    q = Decimal(1).scaleb(-decimals)
-    return str(Decimal(value).quantize(q, rounding=ROUND_HALF_UP))
+    return float(quantize(value, decimals))
 
 
 def parse_mot(source) -> TrackFile:
@@ -119,15 +122,9 @@ def write_mot(track: TrackFile, path):
     """Write records in the fixed decimal layout; round-trips through parse_mot."""
     with open(path, "w", encoding="ascii") as fh:
         for rec in track.records:
-            fh.write(format_record(rec) + "\n")
-
-
-def format_record(rec: TrackRecord) -> str:
-    return ",".join([
-        str(rec.frame), str(rec.track_id),
-        _fmt(rec.left, 2), _fmt(rec.top, 2), _fmt(rec.width, 2), _fmt(rec.height, 2),
-        _fmt(rec.score, 4), "-1", "-1", "-1",
-    ])
+            pixels = (str(quantize(v, 2)) for v in (rec.left, rec.top, rec.width, rec.height))
+            fh.write(",".join([str(rec.frame), str(rec.track_id), *pixels,
+                               str(quantize(rec.score, 4)), "-1", "-1", "-1"]) + "\n")
 
 
 SEQINFO_KEYS = ("imWidth", "imHeight", "frameRate", "seqLength")
@@ -166,3 +163,52 @@ def parse_seqinfo(path) -> tuple[FrameContext, int]:
     ctx = FrameContext(image_width=values["imWidth"], image_height=values["imHeight"],
                        frame_rate=values["frameRate"])
     return ctx, values["seqLength"]
+
+
+def frame_to_json(ctx: FrameContext, windows, gold=None) -> dict:
+    """The frame object of `ctx` and `windows`; a window whose id is in `gold` gets its label."""
+    items = []
+    for w in windows:
+        items.append({"id": w.tracklet_id, "boxes": [
+            [float(b.left), float(b.top), float(b.width), float(b.height)] for b in w.boxes],
+            "score": float(w.score), "length": w.length})
+        if gold and w.tracklet_id in gold:
+            items[-1]["gold"] = gold[w.tracklet_id]
+    return {"image_width": float(ctx.image_width), "image_height": float(ctx.image_height),
+            "frame_rate": float(ctx.frame_rate), "windows": items}
+
+
+def _typed(value, kind: type, what: str):
+    """value as kind (int or float); JSON true is neither, and a float is no int."""
+    if not (is_integer if kind is int else is_real)(value):
+        noun = "an integer" if kind is int else "a number"
+        raise FormatError(f"frame JSON {what} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def frame_from_json(data) -> tuple[FrameContext, list[HypothesisWindow], dict[int, int]]:
+    """Parse a decoded frame object into (ctx, windows, gold labels).
+
+    Sizes, frame rate, scores and the four values of each box must be JSON
+    numbers; ids, lengths and the optional per-window gold labels (0 or 1)
+    integers. Other keys are ignored.
+    """
+    try:
+        ctx = FrameContext(*(_typed(data[key], float, key)
+                             for key in ("image_width", "image_height", "frame_rate")))
+        windows, gold = [], {}
+        for w in data["windows"]:
+            boxes = tuple(Box(*(_typed(v, float, "box value") for v in b)) for b in w["boxes"])
+            windows.append(HypothesisWindow(
+                tracklet_id=_typed(w["id"], int, "window id"), boxes=boxes,
+                score=_typed(w["score"], float, "score"),
+                length=_typed(w["length"], int, "window length")))
+            if "gold" in w:
+                if _typed(w["gold"], int, "gold label") not in (0, 1):
+                    raise FormatError(f"frame JSON gold label must be 0 or 1, got {w['gold']}")
+                gold[w["id"]] = w["gold"]
+    except KeyError as exc:
+        raise FormatError(f"frame JSON missing field: {exc}")
+    except (TypeError, OverflowError) as exc:
+        raise FormatError(f"bad frame JSON: {exc}")
+    return ctx, windows, gold

@@ -28,7 +28,7 @@ from .crf_model import (ACTIVE_KINDS, BYPASS, INACTIVATED_CRF,  # noqa: F401
                         INACTIVATED_THRESHOLD, KEPT, ModelParams, decide_frame)
 from .errors import ValidationError
 from .factor_graph import BpConfig
-from .features import Box, FrameContext, HypothesisWindow
+from .features import Box, FrameContext, HypothesisWindow, is_integer, is_real
 from .io import TrackFile, TrackRecord, round_half_up
 from .metrics import iou
 
@@ -195,11 +195,6 @@ def run(hypotheses: TrackFile, params: ModelParams, ctx: FrameContext,
 # Synthetic scenarios
 # --------------------------------------------------------------------------
 
-def _is_integer(value) -> bool:
-    """Python and numpy integers pass; bool, although an int subclass, does not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 # Drift-event geometry, in pixels and frames.
 EXIT_SPEED = 5.0        # victim's speed toward the boundary
 NEIGHBOR_GAP = 75.0     # victim-to-neighbor offset at drift onset
@@ -242,24 +237,28 @@ class ScenarioSpec:
     def validate(self) -> FrameContext:
         """Check every field and return the frame context.
 
-        Raises ValidationError; a size, rate or noise_std that is not a
-        number raises TypeError.
+        Raises ValidationError; a camera_pan of the wrong shape raises TypeError or LookupError.
         """
         for name in ("num_frames", "num_targets", "seed"):
-            if not _is_integer(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num_frames < 1 or self.num_targets < 1:
             raise ValidationError("num_frames and num_targets must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         ctx = FrameContext(self.image_width, self.image_height, self.frame_rate)
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValidationError("noise_std must be finite and >= 0")
+        if not (is_real(self.noise_std) and math.isfinite(self.noise_std)
+                and self.noise_std >= 0):
+            raise ValidationError("noise_std must be a finite number >= 0")
+        segments = self.pan_segments()
+        if not segments or not all(is_integer(start) and len(rate) == 2 and all(map(is_real, rate))
+                                   for start, rate in segments):
+            raise ValidationError("camera_pan needs [px, py] numbers and integer start frames")
         if not np.isfinite(self.pan_offsets()).all():
             raise ValidationError("camera_pan must keep every pan offset finite")
         used = set()
         for ev in self.drift_events:
-            if not all(_is_integer(v) for v in (ev.frame, ev.victim, ev.neighbor)):
+            if not all(is_integer(v) for v in (ev.frame, ev.victim, ev.neighbor)):
                 raise ValidationError(f"drift event fields must be integers: {ev}")
             if not (0 <= ev.victim < self.num_targets) or not (0 <= ev.neighbor < self.num_targets):
                 raise ValidationError(f"drift event references unknown target: {ev}")
@@ -274,15 +273,16 @@ class ScenarioSpec:
                     f"drift event at frame {ev.frame} does not fit into {self.num_frames} frames")
         return ctx
 
+    def pan_segments(self) -> list:
+        """camera_pan as (start_frame, (px, py)) segments in start-frame order."""
+        pan = self.camera_pan
+        if len(pan) == 2 and np.isscalar(pan[0]):
+            return [(1, tuple(pan))]
+        return sorted((start, tuple(rate)) for start, rate in pan)
+
     def pan_offsets(self) -> np.ndarray:
         """Cumulative pan offset per frame, shape (num_frames + 1, 2); frame 1 is zero."""
-        if isinstance(self.camera_pan, (tuple, list)) and len(self.camera_pan) == 2 \
-                and np.isscalar(self.camera_pan[0]):
-            segments = [(1, (float(self.camera_pan[0]), float(self.camera_pan[1])))]
-        else:
-            segments = [(int(start), (float(p[0]), float(p[1])))
-                        for start, p in self.camera_pan]
-            segments.sort()
+        segments = self.pan_segments()
         offsets = np.zeros((self.num_frames + 1, 2))
         rate = (0.0, 0.0)
         for t in range(2, self.num_frames + 1):
@@ -296,9 +296,10 @@ class ScenarioSpec:
 def scenario_from_json(text: str) -> ScenarioSpec:
     """Parse a scenario spec from JSON text.
 
-    The keys are the fields of ScenarioSpec. camera_pan ([px, py] or
-    [[start_frame, [px, py]], ...]) and drift_events ([[frame, victim,
-    neighbor], ...]) are converted; ScenarioSpec.validate checks every value.
+    The keys are the fields of ScenarioSpec. drift_events ([[frame, victim,
+    neighbor], ...]) become DriftEvents and a camera_pan array ([px, py] or
+    [[start_frame, [px, py]], ...]) a tuple; ScenarioSpec.validate checks
+    every value.
     """
     try:
         data = json.loads(text)
@@ -311,12 +312,8 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         raise ValidationError(f"unknown scenario keys {sorted(unknown)}")
     kwargs = dict(data)
     try:
-        if "camera_pan" in data:
-            pan = data["camera_pan"]
-            if pan and isinstance(pan[0], (list, tuple)):
-                kwargs["camera_pan"] = [(int(s), (float(p[0]), float(p[1]))) for s, p in pan]
-            else:
-                kwargs["camera_pan"] = (float(pan[0]), float(pan[1]))
+        if isinstance(data.get("camera_pan"), list):
+            kwargs["camera_pan"] = tuple(data["camera_pan"])
         if "drift_events" in data:
             kwargs["drift_events"] = [DriftEvent(*ev) for ev in data["drift_events"]]
         spec = ScenarioSpec(**kwargs)

@@ -13,6 +13,7 @@ log-sum-exp of -Phi theta, and the gradient is E_p[Phi] - Phi[gold].
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,8 +22,8 @@ import numpy as np
 from .crf_model import ModelParams, compute_feature_tables, graph_from_features, with_weights
 from .errors import FormatError, NumericalError, ValidationError
 from .factor_graph import labeling_energies
-from .features import Box, FrameContext, HypothesisWindow
-from .io import TrackFile
+from .features import FrameContext, HypothesisWindow, is_integer
+from .io import TrackFile, frame_from_json, frame_to_json
 from .metrics import iou
 from .tracker import Tracklet
 
@@ -52,8 +53,12 @@ class TrainingSample:
     gold: dict[int, int]
     sequence: str
     frame: int
-    negative: bool
     _cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def negative(self) -> bool:
+        """Some would-be CRF node should be inactivated."""
+        return 0 in self.gold.values()
 
     def tables(self, params: ModelParams):
         """(Phi, Phi[gold]), cached per feature settings.
@@ -210,8 +215,7 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
             gold[w.tracklet_id] = 1 if good else 0
 
         sample = TrainingSample(windows=windows, ctx=ctx, gold=gold,
-                                sequence=sequence_id, frame=frame,
-                                negative=0 in gold.values())
+                                sequence=sequence_id, frame=frame)
         (negatives if sample.negative else positives).append(sample)
 
     if not negatives:
@@ -223,67 +227,31 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
 
 
 # --------------------------------------------------------------------------
-# Dataset files: line-oriented text blocks
+# Dataset files: JSON Lines of frame objects
 # --------------------------------------------------------------------------
 
 def save_dataset(path, samples):
+    """One line per sample: its sequence and frame, then io.frame_to_json with gold labels."""
     with open(path, "w", encoding="ascii") as fh:
         for s in samples:
-            fh.write(f"sample {s.sequence} {s.frame} {'neg' if s.negative else 'pos'}\n")
-            fh.write(f"ctx {s.ctx.image_width!r} {s.ctx.image_height!r} {s.ctx.frame_rate!r}\n")
-            for w in s.windows:
-                parts = ["win", str(w.tracklet_id), str(len(w.boxes))]
-                for b in w.boxes:
-                    parts += [repr(b.left), repr(b.top), repr(b.width), repr(b.height)]
-                gold = s.gold.get(w.tracklet_id)
-                parts += [repr(w.score), str(w.length),
-                          "-" if gold is None else str(gold)]
-                fh.write(" ".join(parts) + "\n")
-            fh.write("end\n")
+            line = {"sequence": s.sequence, "frame": s.frame,
+                    **frame_to_json(s.ctx, s.windows, s.gold)}
+            fh.write(json.dumps(line) + "\n")
 
 
 def load_dataset(path) -> list[TrainingSample]:
     samples = []
-    state = None
     with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            fields = line.split()
             try:
-                if fields[0] == "sample":
-                    if state is not None:
-                        raise FormatError("nested sample block", line=lineno)
-                    state = {"sequence": fields[1], "frame": int(fields[2]),
-                             "negative": fields[3] == "neg", "ctx": None,
-                             "windows": [], "gold": {}}
-                elif fields[0] == "ctx":
-                    state["ctx"] = FrameContext(float(fields[1]), float(fields[2]),
-                                                float(fields[3]))
-                elif fields[0] == "win":
-                    tid = int(fields[1])
-                    n_boxes = int(fields[2])
-                    vals = [float(v) for v in fields[3:3 + 4 * n_boxes]]
-                    boxes = tuple(Box(*vals[i:i + 4]) for i in range(0, len(vals), 4))
-                    rest = fields[3 + 4 * n_boxes:]
-                    score, length, gold = float(rest[0]), int(rest[1]), rest[2]
-                    state["windows"].append(HypothesisWindow(
-                        tracklet_id=tid, boxes=boxes, score=score, length=length))
-                    if gold != "-":
-                        state["gold"][tid] = ("0", "1").index(gold)
-                elif fields[0] == "end":
-                    if state["ctx"] is None:
-                        raise FormatError("sample block has no ctx line", line=lineno)
-                    samples.append(TrainingSample(
-                        windows=state["windows"], ctx=state["ctx"], gold=state["gold"],
-                        sequence=state["sequence"], frame=state["frame"],
-                        negative=state["negative"]))
-                    state = None
-                else:
-                    raise FormatError(f"unknown dataset line {fields[0]!r}", line=lineno)
-            except (IndexError, ValueError, TypeError):
-                raise FormatError(f"malformed dataset line: {line!r}", line=lineno)
-    if state is not None:
-        raise FormatError("dataset ends inside a sample block")
+                data = json.loads(line)
+                ctx, windows, gold = frame_from_json(data)
+                if not (isinstance(data.get("sequence"), str) and is_integer(data.get("frame"))):
+                    raise FormatError("dataset line needs a string sequence and an integer frame")
+            except (json.JSONDecodeError, FormatError, ValidationError) as exc:
+                raise FormatError(str(exc), line=lineno)
+            samples.append(TrainingSample(windows=windows, ctx=ctx, gold=gold,
+                                          sequence=data["sequence"], frame=data["frame"]))
     return samples

@@ -41,7 +41,7 @@ def dataset_samples():
         Box(x + 60.0 * tid, y, w, h) for x, y, w, h in WINDOW_BOXES), score=0.7, length=3)
         for tid in (1, 2)]
     return [TrainingSample(windows=windows, ctx=FrameContext(1920.0, 1080.0, 5.0),
-                           gold={1: 1, 2: 0}, sequence="s", frame=frame, negative=True)
+                           gold={1: 1, 2: 0}, sequence="s", frame=frame)
             for frame in (4, 5)]
 
 

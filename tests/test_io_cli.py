@@ -1,12 +1,15 @@
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from crftrack.cli import exit_code_for, main
 from crftrack.errors import CapacityError, FormatError, NumericalError, ValidationError
 from crftrack.features import FrameContext
-from crftrack.io import (TrackFile, TrackRecord, parse_mot, parse_seqinfo,
+from crftrack.io import (TrackFile, TrackRecord, parse_mot, parse_seqinfo, quantize,
                          round_half_up, write_mot, write_seqinfo)
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario
 
@@ -74,6 +77,11 @@ class TestWrite:
         path = tmp_path / "t.txt"
         write_mot(track, path)
         assert path.read_text().startswith("2,7,1.00,")
+
+    def test_quantize_covers_every_finite_double(self):
+        assert str(quantize(sys.float_info.max, 4)).endswith(".0000")
+        assert round_half_up(-sys.float_info.max, 2) == -sys.float_info.max
+        assert str(quantize(2.675, 2)) == "2.67"  # stored as 2.67499...
 
     def test_half_up_not_bankers(self):
         # 0.125 is exactly representable; bankers rounding would give 0.12.
@@ -254,7 +262,7 @@ class TestCli:
             for tid in range(21)]
         save_dataset(workdir / "dataset.txt", [TrainingSample(
             windows=windows, ctx=FrameContext(1920, 1080, 30.0),
-            gold={tid: 1 for tid in range(21)}, sequence="s", frame=1, negative=False)])
+            gold={tid: 1 for tid in range(21)}, sequence="s", frame=1)])
         code = main(["check-gradients", "--params", str(workdir / "params25.txt"),
                      "--dataset", str(workdir / "dataset.txt")])
         assert code == 4
@@ -359,7 +367,8 @@ class TestCli:
 
     @pytest.mark.parametrize("field", [
         {"image_width": "abc"}, {"id": 1.7}, {"length": 3.9}, {"length": -3},
-        {"id": True}, {"length": True}])
+        {"id": True}, {"length": True}, {"boxes": ["1234"]}, {"score": True},
+        {"image_width": "1920"}, {"boxes": [[1, 2, 3]]}])
     def test_non_numeric_frame_field_exit_code(self, workdir, capsys, field):
         from crftrack.crf_model import default_params, save_params
         save_params(workdir / "params.txt", *default_params())
@@ -394,12 +403,68 @@ class TestCli:
         {"num_targets": 2.5}, {"num_frames": 2.5}, {"image_width": -5},
         {"noise_std": math.nan}, {"num_targets": True}, {"camera_pan": {}},
         {"camera_pan": [math.inf, 0.0]}, {"camera_pan": [[1, [0.0, math.nan]]]},
-        {"drift_events": [[20.5, 0, 1]]}, {"seed": -1}])
+        {"drift_events": [[20.5, 0, 1]]}, {"seed": -1}, {"frame_rate": True},
+        {"noise_std": True}, {"camera_pan": [[1, [0, 0.5]], [2.5, [0.4, 0]]]},
+        {"camera_pan": [True, 0.0]}, {"camera_pan": [[1, [0.0, 0.5, 9.0]]]}])
     def test_wrong_typed_spec_field_exit_code(self, workdir, capsys, field):
         (workdir / "spec.json").write_text(json.dumps({**SPEC_JSON, **field}))
         assert main(gen_args(workdir)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_dataset_lines_are_infer_frames(self, workdir, capsys):
+        from crftrack.crf_model import decide_inactivation, load_params
+        from crftrack.training import load_dataset
+        assert main(train_args(workdir, "0.01")) == 0
+        params, bp = load_params(workdir / "params.txt")
+        lines = (workdir / "dataset.txt").read_text().splitlines()
+        samples = load_dataset(workdir / "dataset.txt")
+        assert len(lines) == len(samples) > 0
+        for line, sample in zip(lines, samples):
+            (workdir / "frame.json").write_text(line)
+            capsys.readouterr()
+            assert main(["infer", "--frame-json", str(workdir / "frame.json"),
+                         "--params", str(workdir / "params.txt")]) == 0
+            labels = decide_inactivation(sample.windows, params, sample.ctx, "loopy-bp", bp)
+            assert capsys.readouterr().out.splitlines() == \
+                [f"{tid} {labels[tid]}" for tid in sorted(labels)]
+
+    def test_readme_json_examples_run(self, tmp_path, capsys):
+        # The scenario spec and infer frame shown in README.md must stay valid inputs.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+        spec = next(b for b in blocks if "num_frames" in b)
+        frame = next(b for b in blocks if "windows" in b)
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "frame.json").write_text(json.dumps(frame))
+        from crftrack.crf_model import default_params, save_params
+        save_params(tmp_path / "params.txt", *default_params())
+        assert main(gen_args(tmp_path)) == 0
+        assert main(["infer", "--frame-json", str(tmp_path / "frame.json"),
+                     "--params", str(tmp_path / "params.txt")]) == 0
+        out = capsys.readouterr().out.split()
+        assert out[::2] == [str(w["id"]) for w in frame["windows"]]
+
+    def test_huge_coordinates_round_trip(self, workdir):
+        # Finite values beyond 1e26 overflowed a 28-digit decimal context.
+        (workdir / "hyp.txt").write_text("1,1,1e30,20,30,60,0.9,-1,-1,-1\n")
+        (workdir / "seqinfo.txt").write_text(
+            "imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=1\n")
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        assert main(["track", "--hyp", str(workdir / "hyp.txt"),
+                     "--seqinfo", str(workdir / "seqinfo.txt"),
+                     "--params", str(workdir / "params.txt"), "--mode", "crf",
+                     "--out", str(workdir / "out.txt")]) == 0
+        assert (workdir / "out.txt").read_text() == \
+            "1,1,1000000000000000019884624838656.00,20.00,30.00,60.00,0.9000,-1,-1,-1\n"
+        assert parse_mot(workdir / "out.txt").records[0].left == 1e30
+
+    def test_huge_image_width_generates(self, workdir):
+        (workdir / "spec.json").write_text(json.dumps({**SPEC_JSON, "image_width": 1e300}))
+        assert main(gen_args(workdir)) == 0
+        ctx, _ = parse_seqinfo(workdir / "seqinfo.txt")
+        assert ctx.image_width == 1e300
 
     def test_exit_code_mapping(self):
         assert exit_code_for(FormatError("x")) == 2

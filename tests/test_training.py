@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from crftrack.crf_model import (ModelParams, compute_feature_tables, default_par
 from crftrack.errors import CapacityError, ValidationError
 from crftrack.factor_graph import exact_inference
 from crftrack.features import Box, FrameContext, HypothesisWindow
-from crftrack.io import TrackFile, TrackRecord
+from crftrack.io import TrackFile, TrackRecord, frame_from_json, frame_to_json
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
 from crftrack.training import (TrainConfig, TrainingSample, finite_diff_check,
                                generate_dataset, gradient, load_dataset,
@@ -27,7 +28,7 @@ def steady_window(tid, score, x=100.0, step=2.0, h=100.0):
 def single_node_sample(score=0.9, gold=1):
     win = steady_window(1, score)
     return TrainingSample(windows=[win], ctx=CTX, gold={1: gold},
-                          sequence="unit", frame=1, negative=(gold == 0))
+                          sequence="unit", frame=1)
 
 
 def empty_node_sample():
@@ -35,7 +36,7 @@ def empty_node_sample():
     # leaving a sample whose feature sums are all zero.
     win = steady_window(1, 0.2)
     return TrainingSample(windows=[win], ctx=CTX, gold={}, sequence="unit",
-                          frame=1, negative=False)
+                          frame=1)
 
 
 def scenario_dataset(seed=201, frames=130):
@@ -96,6 +97,20 @@ class TestGenerateDataset:
         b, _ = scenario_dataset(seed=207)
         assert [(s.frame, s.negative, tuple(sorted(s.gold.items()))) for s in a] \
             == [(s.frame, s.negative, tuple(sorted(s.gold.items()))) for s in b]
+
+
+class TestNegativeFlag:
+    def test_follows_gold(self):
+        sample = single_node_sample(gold=1)
+        assert not sample.negative
+        sample.gold[1] = 0
+        assert sample.negative
+        assert not empty_node_sample().negative
+
+    def test_is_not_a_field(self):
+        assert "negative" not in {f.name for f in dataclasses.fields(TrainingSample)}
+        with pytest.raises(TypeError):
+            TrainingSample(windows=[], ctx=CTX, gold={}, sequence="s", frame=1, negative=True)
 
 
 class TestLogLikelihood:
@@ -159,7 +174,7 @@ def crowded_sample(num_nodes):
     windows = [steady_window(tid, 0.5 + 0.02 * tid, x=90.0 * tid) for tid in range(num_nodes)]
     return TrainingSample(windows=windows, ctx=CTX,
                           gold={tid: tid % 2 for tid in range(num_nodes)},
-                          sequence="unit", frame=1, negative=True)
+                          sequence="unit", frame=1)
 
 
 class TestStatisticsEngine:
@@ -294,20 +309,41 @@ class TestDatasetFiles:
 
     def test_non_binary_gold_label_rejected(self, tmp_path):
         path = tmp_path / "dataset.txt"
-        save_dataset(path, [single_node_sample()])
-        path.write_text(path.read_text().replace(" 3 1\nend", " 3 2\nend"))
+        save_dataset(path, [single_node_sample()] * 2)
+        text = path.read_text()
+        path.write_text(text + text.replace('"gold": 1', '"gold": 2'))
         from crftrack.errors import FormatError
-        with pytest.raises(FormatError, match="line 3"):
+        with pytest.raises(FormatError, match="line 3: .*gold label must be 0 or 1"):
             load_dataset(path)
 
     def test_block_without_ctx_rejected(self, tmp_path):
         path = tmp_path / "dataset.txt"
-        save_dataset(path, [single_node_sample()])
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(ln for ln in lines if not ln.startswith("ctx ")))
+        save_dataset(path, [single_node_sample()] * 2)
+        first, second = path.read_text().splitlines(keepends=True)
+        path.write_text(first + second.replace('"image_width": 1920.0, ', ""))
         from crftrack.errors import FormatError
-        with pytest.raises(FormatError, match="line 3: sample block has no ctx line"):
+        with pytest.raises(FormatError, match="line 2: .*missing field: 'image_width'"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("edit", [{"sequence": 7}, {"frame": 1.0}, {"frame": True}])
+    def test_bad_provenance_rejected(self, tmp_path, edit):
+        path = tmp_path / "dataset.txt"
+        save_dataset(path, [single_node_sample()])
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}) + "\n")
+        from crftrack.errors import FormatError
+        with pytest.raises(FormatError, match="line 1: .*sequence"):
+            load_dataset(path)
+
+    def test_lines_are_frame_json(self, tmp_path):
+        # Every line is the io frame object of its sample plus provenance.
+        samples, _ = scenario_dataset(seed=208)
+        path = tmp_path / "dataset.txt"
+        save_dataset(path, samples[:5])
+        for line, sample in zip(path.read_text().splitlines(), samples):
+            data = json.loads(line)
+            assert (data.pop("sequence"), data.pop("frame")) == (sample.sequence, sample.frame)
+            assert data == frame_to_json(sample.ctx, sample.windows, sample.gold)
+            assert frame_from_json(data) == (sample.ctx, sample.windows, sample.gold)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
