@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import crf_model, io, metrics, tracker, training
-from .errors import CapacityError, CrfTrackError, FormatError, NumericalError, ValidationError
+from .errors import CapacityError, CrfTrackError, FormatError, NumericalError
 from .factor_graph import INFERENCE_MODES
 
 
@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-decisions", default=None)
 
     p = sub.add_parser("train", help="estimate the CRF weights from baseline runs")
-    p.add_argument("--runs", required=True, help="directory of baseline run files (*.txt)")
+    p.add_argument("--runs", required=True, help="directory of baseline run files (*.txt), "
+                   "each with its <run>.seqinfo here or else in --gt")
     p.add_argument("--gt", required=True, help="directory of matching ground-truth files")
     p.add_argument("--params-init", required=True)
     p.add_argument("--lr", type=float, default=1e-2)
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (FormatError, ValidationError, NumericalError, CapacityError) as exc:
+    except CrfTrackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     except (OSError, UnicodeDecodeError) as exc:

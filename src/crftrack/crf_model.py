@@ -1,9 +1,10 @@
 """Per-frame CRF: filtering, shared-weight energies, and the frame decision.
 
-Tracklets are first split by score and history thresholds; of the remaining
-candidates at most `node_budget` of the lowest-scoring ones become CRF nodes
-(confident tracklets need no joint reasoning) and the rest stay active
-without entering the graph. The graph has one variable per CRF node and one
+`split_frame` (the paper's hypothesis filtering) first splits tracklets by
+score and history thresholds; of the remaining candidates at most
+`node_budget` of the lowest-scoring ones become CRF nodes (confident
+tracklets need no joint reasoning) and the rest stay active without
+entering the graph. The graph has one variable per CRF node and one
 pair factor per pair of nodes, in the order `pair_ends` fixes; all pair
 tables are computed together as one (P, 2, 2) array. `decide_frame` is the
 one path from a frame's windows to its decisions: it assembles the graph,
@@ -86,15 +87,13 @@ def pair_ends(num_nodes):
     return ends
 
 
-def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
-    """Split windows into CRF nodes and bypasses; compute feature tables.
+def split_frame(windows, params: ModelParams):
+    """Hypothesis filtering: (nodes, bypass_active, bypass_inactive) of a frame's windows.
 
-    Returns (nodes, unary_phi, pair_phi, bypass_active, bypass_inactive)
-    where nodes is the selected window list ordered by tracklet id, unary_phi
-    has shape (n, 2) and pair_phi (P, 2, 2), for the pairs of pair_ends(n).
+    nodes are the windows that enter the CRF, ordered by tracklet id; the
+    bypasses are sorted tracklet ids.
     """
-    ids = [w.tracklet_id for w in windows]
-    if len(set(ids)) != len(ids):
+    if len({w.tracklet_id for w in windows}) != len(windows):
         raise ValidationError("duplicate tracklet ids in frame")
 
     bypass_active, bypass_inactive, candidates = [], [], []
@@ -116,7 +115,16 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
         bypass_active.extend(w.tracklet_id for w in candidates[params.node_budget:])
         candidates = candidates[:params.node_budget]
     nodes = sorted(candidates, key=lambda w: w.tracklet_id)
+    return nodes, sorted(bypass_active), sorted(bypass_inactive)
 
+
+def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
+    """split_frame's split of the windows, plus the feature tables of its nodes.
+
+    Returns (nodes, unary_phi, pair_phi, bypass_active, bypass_inactive);
+    unary_phi has shape (n, 2) and pair_phi (P, 2, 2), for the pairs of pair_ends(n).
+    """
+    nodes, bypass_active, bypass_inactive = split_frame(windows, params)
     fp = params.features
     unary_phi = np.array([[unary_feature(w, 0, fp), unary_feature(w, 1, fp)] for w in nodes],
                          dtype=float).reshape(-1, 2)
@@ -124,7 +132,7 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
     pair_phi = np.zeros((len(i), 2, 2))
     pair_phi[:, 1, 1] = keep_keep_penalties(nodes, i, j, fp, ctx)
 
-    return nodes, unary_phi, pair_phi, sorted(bypass_active), sorted(bypass_inactive)
+    return nodes, unary_phi, pair_phi, bypass_active, bypass_inactive
 
 
 def graph_from_features(unary_phi, pair_phi, theta_u, theta_b) -> FactorGraph:

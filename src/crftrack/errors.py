@@ -14,10 +14,12 @@ class FormatError(CrfTrackError):
     """Malformed file content. Carries a line number when one is known."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.line is None else f"line {self.line}: {message}"
 
 
 class ValidationError(CrfTrackError):

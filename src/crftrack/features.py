@@ -99,7 +99,8 @@ class HypothesisWindow:
 
     boxes[-1] is the current frame; score is the current-frame classification
     score; length is the tracklet's total age in frames (which can exceed the
-    number of stored boxes).
+    number of stored boxes). A new tracklet is HypothesisWindow(id, (box,),
+    score, 1), and `extended` gives each later frame's window.
     """
 
     tracklet_id: int
@@ -117,6 +118,10 @@ class HypothesisWindow:
                                   f"{len(self.boxes)} stored boxes")
         if self.length >= 3 and len(self.boxes) < 3:
             raise ValidationError("tracklet of length >= 3 must carry 3 boxes")
+
+    def extended(self, box: Box, score: float) -> "HypothesisWindow":
+        """The next frame's window: `box` appended, the last three boxes kept."""
+        return HypothesisWindow(self.tracklet_id, (*self.boxes[-2:], box), score, self.length + 1)
 
     def _need(self, count, what):
         if len(self.boxes) < count:

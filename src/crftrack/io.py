@@ -37,18 +37,17 @@ class TrackRecord:
 
 @dataclass
 class TrackFile:
-    """Ordered track records; sorted by (frame, id) with no duplicates."""
+    """Records sorted by (frame, id), no duplicates; an error's line is the record's position."""
 
     records: list[TrackRecord] = field(default_factory=list)
 
     def __post_init__(self):
         prev = None
-        for rec in self.records:
+        for line, rec in enumerate(self.records, start=1):
             key = (rec.frame, rec.track_id)
-            if key == prev:
-                raise FormatError(f"duplicate record for frame {rec.frame}, id {rec.track_id}")
-            if prev is not None and key < prev:
-                raise FormatError(f"records not sorted at frame {rec.frame}, id {rec.track_id}")
+            if prev is not None and key <= prev:
+                fault = "duplicate record" if key == prev else "records not sorted by (frame, id)"
+                raise FormatError(f"{fault} at frame {rec.frame}, id {rec.track_id}", line=line)
             prev = key
 
     def __len__(self):
@@ -84,8 +83,7 @@ def parse_mot(source) -> TrackFile:
     else:
         lines = list(source)
 
-    records = []
-    prev_key = None
+    records, linenos = [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -105,17 +103,14 @@ def parse_mot(source) -> TrackFile:
             raise FormatError(f"frame numbers start at 1, got {frame}", line=lineno)
         if width <= 0 or height <= 0:
             raise FormatError(f"non-positive box dimensions {width}x{height}", line=lineno)
-        key = (frame, track_id)
-        if key == prev_key:
-            raise FormatError(f"duplicate record for frame {frame}, id {track_id}",
-                              line=lineno)
-        if prev_key is not None and key < prev_key:
-            raise FormatError(f"records not sorted by (frame, id) at frame {frame}, "
-                              f"id {track_id}", line=lineno)
-        prev_key = key
         records.append(TrackRecord(frame, track_id, left, top, width, height, score))
+        linenos.append(lineno)
 
-    return TrackFile(records)
+    try:
+        return TrackFile(records)
+    except FormatError as exc:
+        exc.line = linenos[exc.line - 1]  # TrackFile counts records; blank lines count here
+        raise
 
 
 def write_mot(track: TrackFile, path):
@@ -189,16 +184,19 @@ def _typed(value, kind: type, what: str):
 def frame_from_json(data) -> tuple[FrameContext, list[HypothesisWindow], dict[int, int]]:
     """Parse a decoded frame object into (ctx, windows, gold labels).
 
-    Sizes, frame rate, scores and the four values of each box must be JSON
-    numbers; ids, lengths and the optional per-window gold labels (0 or 1)
-    integers. Other keys are ignored.
+    Sizes, frame rate and scores must be JSON numbers, and each box a list
+    of four numbers (left, top, width, height); ids, lengths and the
+    optional per-window gold labels (0 or 1) integers. Other keys are ignored.
     """
     try:
         ctx = FrameContext(*(_typed(data[key], float, key)
                              for key in ("image_width", "image_height", "frame_rate")))
         windows, gold = [], {}
         for w in data["windows"]:
-            boxes = tuple(Box(*(_typed(v, float, "box value") for v in b)) for b in w["boxes"])
+            if not all(isinstance(b, list) and len(b) == 4 and all(map(is_real, b))
+                       for b in w["boxes"]):
+                raise FormatError(f"frame JSON box must be a list of 4 numbers: {w['boxes']!r}")
+            boxes = tuple(Box(*map(float, b)) for b in w["boxes"])
             windows.append(HypothesisWindow(
                 tracklet_id=_typed(w["id"], int, "window id"), boxes=boxes,
                 score=_typed(w["score"], float, "score"),

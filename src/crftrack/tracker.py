@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,31 +35,11 @@ NMS_IOU = 0.5
 
 
 @dataclass
-class Tracklet:
-    boxes: deque
-    score: float
-    length: int
-
-    @classmethod
-    def fresh(cls, box: Box, score: float) -> "Tracklet":
-        return cls(boxes=deque([box], maxlen=3), score=score, length=1)
-
-    def push(self, box: Box, score: float):
-        self.boxes.append(box)
-        self.score = score
-        self.length += 1
-
-    def window(self, track_id: int) -> HypothesisWindow:
-        return HypothesisWindow(tracklet_id=track_id, boxes=tuple(self.boxes),
-                                score=self.score, length=self.length)
-
-
-@dataclass
 class TrackerState:
-    """Registry of active tracklets and the ids retired so far."""
+    """Each active tracklet's window, by id, and the ids retired so far."""
 
-    active: dict[int, Tracklet] = field(default_factory=dict)
-    inactive: dict[int, int] = field(default_factory=dict)
+    active: dict[int, HypothesisWindow] = field(default_factory=dict)
+    inactive: set[int] = field(default_factory=set)
     next_id: int = 1
 
 
@@ -78,9 +57,9 @@ class FrameResult:
     decisions: list[TrackletDecision]
 
 
-def _inactivate(state: TrackerState, track_id: int, frame: int):
+def _inactivate(state: TrackerState, track_id: int):
     state.active.pop(track_id, None)
-    state.inactive[track_id] = frame
+    state.inactive.add(track_id)
 
 
 def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
@@ -117,29 +96,29 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
     # Active tracklets with no hypothesis this frame lost their target.
     for tid in sorted(set(state.active) - seen):
         last_box = state.active[tid].boxes[-1]
-        _inactivate(state, tid, frame)
+        _inactivate(state, tid)
         decisions.append(TrackletDecision(tid, last_box, 0.0, INACTIVATED_THRESHOLD))
 
     existing.sort(key=lambda t: t[0])
     for tid, box, score in existing:
-        state.active[tid].push(box, score)
+        state.active[tid] = state.active[tid].extended(box, score)
 
     if mode == "threshold-only":
         for tid, box, score in existing:
             if score < params.short_threshold:
-                _inactivate(state, tid, frame)
+                _inactivate(state, tid)
                 decisions.append(TrackletDecision(tid, box, score, INACTIVATED_THRESHOLD))
             else:
                 decisions.append(TrackletDecision(tid, box, score, KEPT))
     else:
-        windows = [state.active[tid].window(tid) for tid, _, _ in existing]
+        windows = [state.active[tid] for tid, _, _ in existing]
         if observer is not None and windows:
             observer(frame, windows)
         kinds, _ = decide_frame(windows, params, ctx, inference, bp)
         for tid, box, score in existing:
             kind = kinds[tid]
             if kind not in ACTIVE_KINDS:
-                _inactivate(state, tid, frame)
+                _inactivate(state, tid)
             decisions.append(TrackletDecision(tid, box, score, kind))
 
     # New detections, greedy score-descending suppression against everything
@@ -157,7 +136,7 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
         if tid in state.active or tid in state.inactive:
             raise ValidationError(f"tracklet id {tid} reused at frame {frame}")
         state.next_id = max(state.next_id, tid + 1)
-        state.active[tid] = Tracklet.fresh(box, score)
+        state.active[tid] = HypothesisWindow(tid, (box,), score, 1)
         kept_boxes.append(box)
         decisions.append(TrackletDecision(tid, box, score, KEPT))
 
@@ -361,7 +340,6 @@ def generate_scenario(spec: ScenarioSpec):
                for k in range(spec.num_targets)]
 
     event_of_victim = {}
-    event_of_neighbor = {}
     for e_idx, ev in enumerate(spec.drift_events):
         f = ev.frame
         y_ref = band_y[ev.victim]
@@ -371,7 +349,6 @@ def generate_scenario(spec: ScenarioSpec):
         nb_speed = neighbor_at_f[0] / RIDE_FRAMES
         anchors[ev.neighbor] = (f, neighbor_at_f, np.array([-nb_speed, 0.0]))
         event_of_victim[ev.victim] = e_idx
-        event_of_neighbor[ev.neighbor] = e_idx
 
     def base_center(k, t):
         anchor_frame, pos, vel = anchors[k]

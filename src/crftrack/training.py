@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crf_model import ModelParams, compute_feature_tables, graph_from_features, with_weights
+from .crf_model import (ModelParams, compute_feature_tables, graph_from_features, split_frame,
+                        with_weights)
 from .errors import FormatError, NumericalError, ValidationError
 from .factor_graph import labeling_energies
 from .features import FrameContext, HypothesisWindow, is_integer
 from .io import TrackFile, frame_from_json, frame_to_json
 from .metrics import iou
-from .tracker import Tracklet
 
 OWNER_IOU = 0.5
 
@@ -180,30 +180,28 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
     gt_frames = {f: {r.track_id: r.box() for r in recs}
                  for f, recs in ground_truth.by_frame().items()}
 
-    tracklets: dict[int, Tracklet] = {}
+    windows_by_id: dict[int, HypothesisWindow] = {}
     last_frame: dict[int, int] = {}
     owners: dict[int, int | None] = {}
     negatives, positives = [], []
 
     for frame in sorted(run_frames):
-        present = set()
         for rec in run_frames[frame]:
             tid = rec.track_id
             box = rec.box()
-            present.add(tid)
             # A tracklet missing from the previous frame restarts its history.
             if last_frame.get(tid) != frame - 1:
-                tracklets[tid] = Tracklet.fresh(box, rec.score)
+                windows_by_id[tid] = HypothesisWindow(tid, (box,), rec.score, 1)
                 gt_here = gt_frames.get(frame, {})
                 best = max(gt_here, key=lambda g: iou(box, gt_here[g]), default=None)
                 owned = best is not None and iou(box, gt_here[best]) >= OWNER_IOU
                 owners[tid] = best if owned else None
             else:
-                tracklets[tid].push(box, rec.score)
+                windows_by_id[tid] = windows_by_id[tid].extended(box, rec.score)
             last_frame[tid] = frame
 
-        windows = [tracklets[tid].window(tid) for tid in sorted(present)]
-        nodes, _, _, _, _ = compute_feature_tables(windows, params, ctx)
+        windows = [windows_by_id[rec.track_id] for rec in run_frames[frame]]
+        nodes, _, _ = split_frame(windows, params)
         if not nodes:
             continue
 

@@ -212,6 +212,16 @@ class TestTypes:
         with pytest.raises(ValidationError):
             HypothesisWindow(1, (Box(0, 0, 1, 1),), score=0.5, length=3)
 
+    def test_window_extended(self):
+        boxes = [Box(float(k), 0, 10, 20) for k in range(5)]
+        win = HypothesisWindow(7, (boxes[0],), score=0.9, length=1)
+        for k, box in enumerate(boxes[1:], start=2):
+            win = win.extended(box, 0.8)
+            assert win.tracklet_id == 7 and win.length == k and win.score == 0.8
+            assert win.boxes == tuple(boxes[max(0, k - 3):k])
+        with pytest.raises(ValidationError):
+            win.extended(boxes[0], 1.5)
+
     def test_context_validation(self):
         with pytest.raises(ValidationError):
             FrameContext(0, 100, 30)

@@ -368,7 +368,8 @@ class TestCli:
     @pytest.mark.parametrize("field", [
         {"image_width": "abc"}, {"id": 1.7}, {"length": 3.9}, {"length": -3},
         {"id": True}, {"length": True}, {"boxes": ["1234"]}, {"score": True},
-        {"image_width": "1920"}, {"boxes": [[1, 2, 3]]}])
+        {"image_width": "1920"}, {"boxes": [[1, 2, 3]]}, {"boxes": [[1, 2, 3, 4, 5]]},
+        {"boxes": [5]}])
     def test_non_numeric_frame_field_exit_code(self, workdir, capsys, field):
         from crftrack.crf_model import default_params, save_params
         save_params(workdir / "params.txt", *default_params())
@@ -382,6 +383,8 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if "boxes" in field:
+            assert "box must be a list of 4 numbers" in err
 
     def test_message_dump_needs_loopy_bp(self, workdir, capsys):
         from crftrack.crf_model import default_params, save_params

@@ -98,6 +98,17 @@ class TestGenerateDataset:
         assert [(s.frame, s.negative, tuple(sorted(s.gold.items()))) for s in a] \
             == [(s.frame, s.negative, tuple(sorted(s.gold.items()))) for s in b]
 
+    def test_replay_computes_no_feature_tables(self, monkeypatch):
+        expected, _ = scenario_dataset(seed=207)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("generate_dataset computed feature tables")
+
+        monkeypatch.setattr("crftrack.training.compute_feature_tables", fail)
+        samples, _ = scenario_dataset(seed=207)
+        assert [(s.frame, s.windows, s.gold) for s in samples] \
+            == [(s.frame, s.windows, s.gold) for s in expected]
+
 
 class TestNegativeFlag:
     def test_follows_gold(self):
