@@ -8,7 +8,8 @@ entering the graph. The graph has one variable per CRF node and one
 pair factor per pair of nodes, in the order `pair_ends` fixes; all pair
 tables are computed together as one (P, 2, 2) array. `decide_frame` is the
 one path from a frame's windows to its decisions: it assembles the graph,
-runs MAP inference, and maps labels and bypasses to decision kinds.
+takes its MAP labels from `factor_graph.infer`, and maps labels and
+bypasses to decision kinds.
 """
 
 from __future__ import annotations
@@ -156,9 +157,9 @@ def decide_frame(windows, params: ModelParams, ctx: FrameContext,
                  trace: list | None = None) -> tuple[dict[int, str], InferenceResult]:
     """Decision kind of every tracklet in the frame, plus the CRF's inference result.
 
-    CRF nodes are KEPT or INACTIVATED_CRF by their MAP labels (exact
-    enumeration or loopy max-product); bypassed tracklets are BYPASS or
-    INACTIVATED_THRESHOLD. `trace` collects loopy-bp messages.
+    CRF nodes are KEPT or INACTIVATED_CRF by the MAP labels of `infer`
+    (the exact energy argmin, or loopy max-product); bypassed tracklets are
+    BYPASS or INACTIVATED_THRESHOLD. `trace` collects loopy-bp messages.
     """
     assembly = assemble_frame_graph(windows, params, ctx)
     result = infer(assembly.graph, inference, bp, trace=trace)

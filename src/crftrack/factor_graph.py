@@ -6,13 +6,14 @@ y has probability proportional to exp(-sum_f E_f(y_f)), so lower energy means
 more probable. Three inference routines are provided: exact enumeration (the
 oracle, exact marginals and log partition function), sum-product belief
 propagation (approximate marginals on loopy graphs, exact on trees), and
-max-product belief propagation (approximate MAP). `infer` is the one dispatch
-from an inference mode name to a MAP routine.
+max-product belief propagation (approximate MAP). `infer` is the one MAP
+dispatch from an inference mode name to a labeling.
 
 With binary labels the energy is a quadratic form in the labeling, so
 `labeling_energies` evaluates all 2**K labelings with a few matrix products
-over cached labeling halves, holding one number per labeling. Exact inference
-and the training likelihood both start from that grid.
+over cached labeling halves, holding one number per labeling. Exact inference,
+the exact MAP of `infer` and the training likelihood all start from that grid;
+the MAP is its argmin alone, with no exponentials and no marginals.
 
 Belief propagation keeps its messages as normalized log-probabilities, so an
 energy table whose exp(-E) underflows to zero still passes a finite message;
@@ -123,11 +124,12 @@ class InferenceResult:
     """Marginals, factor marginals, and MAP labels from one inference call.
 
     `pair_beliefs[k]` is the joint belief of pair factor k. `log_partition` is
-    populated by exact inference only.
+    populated by exact inference only. The exact MAP of `infer` computes the
+    labels alone, so its marginals and pair beliefs are None.
     """
 
-    node_marginals: np.ndarray
-    pair_beliefs: np.ndarray
+    node_marginals: np.ndarray | None
+    pair_beliefs: np.ndarray | None
     map_labels: np.ndarray
     log_partition: float | None
     converged: bool
@@ -179,7 +181,7 @@ def labeling_energies(graph: FactorGraph) -> np.ndarray:
     n = graph.num_vars
     if n > MAX_EXACT_VARS:
         raise CapacityError(f"exact inference enumerates 2**K labelings; "
-                            f"K={n} exceeds {MAX_EXACT_VARS}")
+                            f"K={n} exceeds {MAX_EXACT_VARS}, so use loopy-bp")
     c, a, q = _quadratic_form(graph)
     k = min(n, COLUMN_VARS)
     cols, rows = _labeling_half(k), _labeling_half(n - k)
@@ -190,20 +192,31 @@ def labeling_energies(graph: FactorGraph) -> np.ndarray:
     return energies
 
 
+def _map_index(energies):
+    """Enumeration index of the MAP: the highest index among the exact energy minima.
+
+    The highest index resolves a single tied variable to label 1.
+    """
+    flat = energies.ravel()
+    best = flat.size - 1 - int(np.argmin(flat[::-1]))
+    if math.isnan(flat[best]):
+        raise NumericalError("labeling energies are not numbers: energies overflow float range")
+    return best
+
+
 def exact_inference(graph: FactorGraph) -> InferenceResult:
     """Exact marginals, pair beliefs, log partition function and MAP labeling.
 
     All 2**K labeling energies come from `labeling_energies`. Marginals and
     pair beliefs are entries of the moment matrix E[z z'] of z = [1 - y, y].
-    Among exact energy minima the MAP is the one with the highest enumeration
-    index, which resolves a single tied variable to label 1.
+    The MAP labeling is the one `infer` picks in exact mode (`_map_index`).
     """
     energies = labeling_energies(graph)
     n, k = graph.num_vars, min(graph.num_vars, COLUMN_VARS)
     h = n - k
     cols, rows = _labeling_half(k), _labeling_half(h)
-    e_min = energies.min()
-    best = int(np.flatnonzero(energies == e_min)[-1])
+    best = _map_index(energies)
+    e_min = energies.flat[best]
 
     probs = np.exp(np.subtract(e_min, energies, out=energies), out=energies)
     total = probs.sum()
@@ -232,15 +245,18 @@ def infer(graph: FactorGraph, mode: str, config: BpConfig | None = None,
           trace: list | None = None) -> InferenceResult:
     """MAP inference in one of INFERENCE_MODES.
 
-    "exact" enumerates every labeling, which yields the MAP labels and the
-    marginals at once. "loopy-bp" runs max-product and appends its messages
-    to `trace` when one is given; exact inference passes no messages, so it
-    rejects a trace.
+    "exact" takes the argmin of `labeling_energies` under exact_inference's
+    tie rule and returns the MAP labels alone, without marginals. "loopy-bp"
+    runs max-product and appends its messages to `trace` when one is given;
+    exact inference passes no messages, so it rejects a trace.
     """
     if mode == "exact":
         if trace is not None:
             raise ValidationError("message traces need loopy-bp inference")
-        return exact_inference(graph)
+        best = _map_index(labeling_energies(graph))
+        return InferenceResult(node_marginals=None, pair_beliefs=None,
+                               map_labels=(best >> np.arange(graph.num_vars)) & 1,
+                               log_partition=None, converged=True, iterations_used=0)
     if mode == "loopy-bp":
         return max_product(graph, config, trace=trace)
     raise ValidationError(f"unknown inference mode {mode!r}")

@@ -3,13 +3,15 @@
 One record per line, comma separated, ten fields:
 frame, id, left, top, width, height, score, -1, -1, -1. The three trailing
 fields are placeholders kept for layout compatibility. Pixel values are
-written with two decimals, scores with four, rounded half-up. A frame object
-(one frame's context and windows) is the input of `infer` and, with gold
-labels, one line of a training dataset.
+written with two decimals, scores with four, rounded half-up on the exact
+binary value (`fixed_point`). A frame object (one frame's context and
+windows) is the input of `infer` and, with gold labels, one line of a
+training dataset.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -67,16 +69,33 @@ class TrackFile:
 
 
 def quantize(value: float, decimals: int) -> Decimal:
-    """Exact decimal rounding that never banker's-rounds: 0.125 -> 0.13 at 2 places."""
+    """Exact decimal rounding that never banker's-rounds: 0.125 -> 0.13 at 2 places.
+
+    The reference for `fixed_point`, which is faster and gives the same digits.
+    """
     return _DECIMAL.quantize(Decimal(value), Decimal(1).scaleb(-decimals))
 
 
+def fixed_point(value: float, decimals: int) -> str:
+    """value with `decimals` decimals, rounded half-up on its exact binary value.
+
+    "%.*f" rounds the binary value correctly but half-even, so only exact
+    half-way cases differ from half-up. At d decimals a double is one exactly
+    when value * 2**(d + 1) is an odd integer (a power-of-two scaling is
+    exact); those, and non-finite values, are left to `quantize`.
+    """
+    scaled = value * (2 << decimals)
+    if scaled % 2.0 == 1.0 or not math.isfinite(scaled):
+        return str(quantize(value, decimals))
+    return "%.*f" % (decimals, value)
+
+
 def round_half_up(value: float, decimals: int) -> float:
-    return float(quantize(value, decimals))
+    return float(fixed_point(value, decimals))
 
 
 def parse_mot(source) -> TrackFile:
-    """Parse a MOT text file from a path or an iterable of lines."""
+    """Parse a MOT text file from a path or an iterable of lines; every number must be finite."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, encoding="ascii") as fh:
             lines = fh.readlines()
@@ -94,11 +113,14 @@ def parse_mot(source) -> TrackFile:
         try:
             frame = int(fields[0])
             track_id = int(fields[1])
-            left, top, width, height, score = (float(v) for v in fields[2:7])
-            for v in fields[7:]:
-                float(v)
+            values = list(map(float, fields[2:]))
         except ValueError:
             raise FormatError(f"non-numeric field in {line!r}", line=lineno)
+        # A finite sum proves every value finite; only a sum that is not
+        # (or overflowed) needs the check of each value.
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise FormatError(f"non-finite field in {line!r}", line=lineno)
+        left, top, width, height, score = values[:5]
         if frame < 1:
             raise FormatError(f"frame numbers start at 1, got {frame}", line=lineno)
         if width <= 0 or height <= 0:
@@ -117,9 +139,9 @@ def write_mot(track: TrackFile, path):
     """Write records in the fixed decimal layout; round-trips through parse_mot."""
     with open(path, "w", encoding="ascii") as fh:
         for rec in track.records:
-            pixels = (str(quantize(v, 2)) for v in (rec.left, rec.top, rec.width, rec.height))
+            pixels = (fixed_point(v, 2) for v in (rec.left, rec.top, rec.width, rec.height))
             fh.write(",".join([str(rec.frame), str(rec.track_id), *pixels,
-                               str(quantize(rec.score, 4)), "-1", "-1", "-1"]) + "\n")
+                               fixed_point(rec.score, 4), "-1", "-1", "-1"]) + "\n")
 
 
 SEQINFO_KEYS = ("imWidth", "imHeight", "frameRate", "seqLength")

@@ -95,6 +95,23 @@ class TestExactInference:
                                           ends=[(0, 11)], tables=[xor]))
         assert res.map_labels.tolist() == [0] * 11 + [1]
 
+    @pytest.mark.parametrize("k", range(13))
+    def test_exact_map_path_matches_oracle(self, rng, k):
+        # Small-integer energies tie often, so the shared tie rule is exercised.
+        ends = np.transpose(np.triu_indices(k, 1))
+        graphs = [FactorGraph(k, np.zeros((k, 2)), ends, np.zeros((len(ends), 2, 2)))]
+        for _ in range(20):
+            keep = rng.random(len(ends)) < rng.random()
+            integer = rng.random() < 0.5
+            draw = ((lambda shape: rng.integers(-2, 3, shape).astype(float)) if integer
+                    else (lambda shape: rng.normal(0.0, 1.0, shape)))
+            graphs.append(FactorGraph(k, draw((k, 2)), ends[keep], draw((int(keep.sum()), 2, 2))))
+        for graph in graphs:
+            res = infer(graph, "exact")
+            assert res.map_labels.tolist() == exact_inference(graph).map_labels.tolist()
+            assert res.node_marginals is None and res.pair_beliefs is None
+        assert infer(graphs[0], "exact").map_labels.tolist() == [1] * k
+
     def test_twenty_variable_chain_matches_tree_bp(self, rng):
         k = 20
         graph = FactorGraph(num_vars=k, unary=rng.normal(0, 1, (k, 2)),
@@ -159,8 +176,22 @@ class TestExactInference:
 
     def test_capacity_bound(self):
         graph = FactorGraph(num_vars=21, unary=np.zeros((21, 2)))
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="loopy-bp"):
             exact_inference(graph)
+        with pytest.raises(CapacityError, match="loopy-bp"):
+            infer(graph, "exact")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_energies_raise_numerical_error(self):
+        # Every table is finite, but labeling (1, 1, 1, 1) sums +inf and -inf.
+        big = np.finfo(float).max
+        tables = [[[0.0, 0.0], [0.0, e]] for e in (big, -big, big, -big)]
+        graph = FactorGraph(num_vars=4, unary=np.zeros((4, 2)),
+                            ends=[(0, 2), (0, 3), (1, 2), (1, 3)], tables=tables)
+        for solve in (exact_inference, lambda g: infer(g, "exact")):
+            with pytest.raises(NumericalError):
+                solve(graph)
 
     def test_non_finite_energy_rejected(self):
         with pytest.raises(ValidationError):
@@ -374,9 +405,7 @@ class TestProperties:
                  (("loopy-bp", None), max_product(graph)),
                  (("loopy-bp", TREE_BP), max_product(graph, TREE_BP)))
         for (mode, config), expected in cases:
-            res = infer(graph, mode, config)
-            assert np.array_equal(res.node_marginals, expected.node_marginals)
-            assert np.array_equal(res.map_labels, expected.map_labels)
+            assert np.array_equal(infer(graph, mode, config).map_labels, expected.map_labels)
         with pytest.raises(ValidationError):
             infer(graph, "exact", trace=[])
         with pytest.raises(ValidationError):

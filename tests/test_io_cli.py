@@ -1,9 +1,11 @@
+import decimal
 import json
 import math
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crftrack.cli import exit_code_for, main
@@ -44,6 +46,18 @@ class TestParse:
     def test_non_numeric_field(self):
         with pytest.raises(FormatError, match="line 1"):
             parse_mot(["1,1,x,1,5,5,0.9,-1,-1,-1\n"])
+
+    @pytest.mark.parametrize("field", range(2, 10))
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_field_rejected(self, field, text):
+        fields = "1,1,10,20,30,60,0.9,-1,-1,-1".split(",")
+        fields[field] = text
+        with pytest.raises(FormatError, match="line 1"):
+            parse_mot([",".join(fields) + "\n"])
+
+    def test_finite_fields_whose_sum_overflows_accepted(self):
+        track = parse_mot(["1,1,1e308,1e308,1e308,1e308,0.9,-1,-1,-1\n"])
+        assert track.records[0].width == 1e308
 
     def test_duplicate_frame_id(self):
         rows = ["1,1,1,1,5,5,0.9,-1,-1,-1\n", "1,1,2,2,5,5,0.9,-1,-1,-1\n"]
@@ -88,6 +102,27 @@ class TestWrite:
         assert round_half_up(0.125, 2) == 0.13
         assert round_half_up(0.135, 2) == 0.14
 
+    def test_writer_and_round_half_up_match_quantize(self, tmp_path):
+        values = oracle_doubles(np.random.default_rng(12), 100_000)
+        ties = {d: sum((v * (2 << d)) % 2.0 == 1.0 for v in values) for d in (2, 4)}
+        assert min(ties.values()) > 5_000
+        expected = {d: [quantize(v, d) for v in values] for d in (2, 4)}
+        records = [TrackRecord(i, 1, v, 1.0, 1.0, 1.0, v) for i, v in enumerate(values, 1)]
+        path = tmp_path / "t.txt"
+        write_mot(TrackFile(records), path)
+        lines = path.read_text().splitlines()
+        assert [line.split(",")[2] for line in lines] == list(map(str, expected[2]))
+        assert [line.split(",")[6] for line in lines] == list(map(str, expected[4]))
+        for d, wanted in expected.items():
+            got = [repr(round_half_up(v, d)) for v in values]
+            assert got == [repr(float(q)) for q in wanted]
+
+    def test_infinite_value_rounds_like_quantize(self):
+        for v in (math.inf, -math.inf):
+            for fn in (quantize, round_half_up):
+                with pytest.raises(decimal.InvalidOperation):
+                    fn(v, 2)
+
     def test_empty_track_file(self, tmp_path):
         path = tmp_path / "t.txt"
         write_mot(TrackFile([]), path)
@@ -99,6 +134,25 @@ class TestWrite:
         ctx, length = parse_seqinfo(path)
         assert ctx == FrameContext(1920, 1080, 5.0)
         assert length == 70
+
+
+def oracle_doubles(rng, n):
+    """n seeded doubles as Python floats: exact ties at 2 and 4 decimals (m/8 and
+    m/32), their neighbours, pixel-range values, subnormals, random bit
+    patterns, and -0.0, nan and +-DBL_MAX."""
+    big = sys.float_info.max
+    edges = [0.0, -0.0, math.nan, big, -big, 5e-324, -5e-324, sys.float_info.min,
+             0.005, 0.125, 0.135, 2.675, 1.005, 0.00005, 0.00015, 2.0 ** 53 + 0.5]
+    m = rng.integers(-2 ** 40, 2 ** 40, n // 8) >> rng.integers(0, 40, n // 8)
+    ties = np.concatenate([m / 8.0, m / 32.0])
+    parts = [ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+             rng.uniform(-1e4, 1e4, n // 8),
+             rng.integers(1, 2 ** 52, n // 16, dtype=np.uint64).view(float)
+             * rng.choice([-1.0, 1.0], n // 16),
+             rng.integers(0, 2 ** 64, n // 16, dtype=np.uint64).view(float)]
+    values = np.concatenate(parts)
+    values = values[np.isfinite(values)]
+    return edges + values[:n - len(edges)].tolist()
 
 
 @pytest.fixture
@@ -314,6 +368,14 @@ class TestCli:
                      "--params", str(workdir / "params.txt"), "--mode", "crf",
                      "--out", str(workdir / "out.txt")])
         assert code == 2
+
+    def test_non_finite_score_exit_code(self, workdir, capsys):
+        (workdir / "gt.txt").write_text("1,1,10,20,30,60,1,-1,-1,-1\n")
+        (workdir / "hyp.txt").write_text("1,1,10,20,30,60,nan,-1,-1,-1\n")
+        code = main(["eval", "--gt", str(workdir / "gt.txt"), "--hyp", str(workdir / "hyp.txt"),
+                     "--out", str(workdir / "report.json")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["threshold", "crf"])
     def test_out_of_range_score_exit_code(self, workdir, capsys, mode):
