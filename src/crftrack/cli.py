@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 format/validation error, 3 numerical error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -136,10 +135,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    try:
-        data = json.loads(Path(args.frame_json).read_text(encoding="ascii"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad frame JSON: {exc}")
+    data = io._decode_json(Path(args.frame_json).read_text(encoding="ascii"), "frame JSON")
     ctx, windows, _ = io.frame_from_json(data)
     params, bp = crf_model.load_params(args.params)
     trace = [] if args.dump_messages else None

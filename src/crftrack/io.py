@@ -11,6 +11,7 @@ training dataset.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -61,12 +62,6 @@ class TrackFile:
             table.setdefault(rec.frame, []).append(rec)
         return table
 
-    def by_track(self) -> dict[int, list[TrackRecord]]:
-        table: dict[int, list[TrackRecord]] = {}
-        for rec in self.records:
-            table.setdefault(rec.track_id, []).append(rec)
-        return table
-
 
 def quantize(value: float, decimals: int) -> Decimal:
     """Exact decimal rounding that never banker's-rounds: 0.125 -> 0.13 at 2 places.
@@ -84,6 +79,7 @@ def fixed_point(value: float, decimals: int) -> str:
     when value * 2**(d + 1) is an odd integer (a power-of-two scaling is
     exact); those, and non-finite values, are left to `quantize`.
     """
+    value = float(value)  # a numpy float64 would warn where this scaling overflows
     scaled = value * (2 << decimals)
     if scaled % 2.0 == 1.0 or not math.isfinite(scaled):
         return str(quantize(value, decimals))
@@ -147,11 +143,17 @@ def write_mot(track: TrackFile, path):
 SEQINFO_KEYS = ("imWidth", "imHeight", "frameRate", "seqLength")
 
 
+def _exact(value: float) -> str:
+    """value as %g when that reads back exactly, else as the shortest exact repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def write_seqinfo(path, ctx: FrameContext, seq_length: int):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"imWidth={ctx.image_width:g}\n")
-        fh.write(f"imHeight={ctx.image_height:g}\n")
-        fh.write(f"frameRate={ctx.frame_rate:g}\n")
+        fh.write(f"imWidth={_exact(ctx.image_width)}\n")
+        fh.write(f"imHeight={_exact(ctx.image_height)}\n")
+        fh.write(f"frameRate={_exact(ctx.frame_rate)}\n")
         fh.write(f"seqLength={seq_length}\n")
 
 
@@ -180,6 +182,14 @@ def parse_seqinfo(path) -> tuple[FrameContext, int]:
     ctx = FrameContext(image_width=values["imWidth"], image_height=values["imHeight"],
                        frame_rate=values["frameRate"])
     return ctx, values["seqLength"]
+
+
+def _decode_json(text: str, what: str):
+    """Decoded JSON text; malformed or too deeply nested text is a FormatError naming `what`."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"bad {what}: {exc}")
 
 
 def frame_to_json(ctx: FrameContext, windows, gold=None) -> dict:

@@ -92,6 +92,18 @@ def match_frame(gt_boxes, hyp_boxes, prev_matches):
     return matches, n_fp, n_fn
 
 
+def _frames(gt: TrackFile, hyp: TrackFile):
+    """Yield (frame, GT boxes, hypothesis boxes) for every frame of either file, in order.
+
+    The boxes are (id, Box) lists in id order, empty where a file has no record.
+    """
+    gt_frames = gt.by_frame()
+    hyp_frames = hyp.by_frame()
+    for f in sorted(gt_frames.keys() | hyp_frames.keys()):
+        yield (f, [(r.track_id, r.box()) for r in gt_frames.get(f, ())],
+               [(r.track_id, r.box()) for r in hyp_frames.get(f, ())])
+
+
 def clear_mot(gt: TrackFile, hyp: TrackFile) -> EvalReport:
     """Fold match_frame over the sequence and compute the CLEAR counters.
 
@@ -103,19 +115,13 @@ def clear_mot(gt: TrackFile, hyp: TrackFile) -> EvalReport:
     if gt_total == 0:
         raise ValidationError("MOTA undefined: ground truth contains no boxes")
 
-    gt_frames = gt.by_frame()
-    hyp_frames = hyp.by_frame()
-    frames = sorted(set(gt_frames) | set(hyp_frames))
-
     prev_matches: dict[int, int] = {}
     in_gap: dict[int, bool] = {}
     covered: dict[int, int] = {}
     observed: dict[int, int] = {}
     fp = fn = ids = frag = 0
 
-    for f in frames:
-        g = [(r.track_id, r.box()) for r in gt_frames.get(f, [])]
-        h = [(r.track_id, r.box()) for r in hyp_frames.get(f, [])]
+    for _, g, h in _frames(gt, hyp):
         matches, n_fp, n_fn = match_frame(g, h, prev_matches)
         fp += n_fp
         fn += n_fn
@@ -150,29 +156,23 @@ def idf1(gt: TrackFile, hyp: TrackFile) -> EvalReport:
     """Identity metrics from a global trajectory-to-trajectory assignment.
 
     Each (GT trajectory, hypothesis trajectory) pair is scored by the number
-    of frames on which both exist with IoU >= 0.5; a bipartite assignment
+    of frames on which their boxes overlap with IoU >= 0.5; a bipartite assignment
     maximizes the total, giving IDTP. Leftover hypothesis boxes are IDFP,
     leftover ground-truth boxes IDFN.
     """
     if len(gt.records) == 0:
         raise ValidationError("identity metrics undefined: ground truth contains no boxes")
 
-    gt_tracks = {tid: {r.frame: r.box() for r in recs} for tid, recs in gt.by_track().items()}
-    hyp_tracks = {tid: {r.frame: r.box() for r in recs} for tid, recs in hyp.by_track().items()}
-    gids = sorted(gt_tracks)
-    hids = sorted(hyp_tracks)
-
+    gids = sorted({r.track_id for r in gt.records})
+    hids = sorted({r.track_id for r in hyp.records})
+    row = {gid: i for i, gid in enumerate(gids)}
+    col = {hid: j for j, hid in enumerate(hids)}
     overlap = np.zeros((len(gids), len(hids)), dtype=int)
-    for gi, gid in enumerate(gids):
-        gtrack = gt_tracks[gid]
-        for hi, hid in enumerate(hids):
-            htrack = hyp_tracks[hid]
-            count = 0
-            for frame, gbox in gtrack.items():
-                hbox = htrack.get(frame)
-                if hbox is not None and iou(gbox, hbox) >= IOU_FLOOR:
-                    count += 1
-            overlap[gi, hi] = count
+    for _, g, h in _frames(gt, hyp):
+        for gid, gbox in g:
+            for hid, hbox in h:
+                if iou(gbox, hbox) >= IOU_FLOOR:
+                    overlap[row[gid], col[hid]] += 1
 
     idtp = 0
     if overlap.size:

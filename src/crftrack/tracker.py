@@ -16,7 +16,6 @@ features let the CRF inactivate it at drift onset.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -28,7 +27,7 @@ from .crf_model import (ACTIVE_KINDS, BYPASS, INACTIVATED_CRF,  # noqa: F401
 from .errors import ValidationError
 from .factor_graph import BpConfig
 from .features import Box, FrameContext, HypothesisWindow, is_integer, is_real
-from .io import TrackFile, TrackRecord, round_half_up
+from .io import TrackFile, TrackRecord, _decode_json, round_half_up
 from .metrics import iou
 
 NMS_IOU = 0.5
@@ -104,22 +103,17 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
         state.active[tid] = state.active[tid].extended(box, score)
 
     if mode == "threshold-only":
-        for tid, box, score in existing:
-            if score < params.short_threshold:
-                _inactivate(state, tid)
-                decisions.append(TrackletDecision(tid, box, score, INACTIVATED_THRESHOLD))
-            else:
-                decisions.append(TrackletDecision(tid, box, score, KEPT))
+        kinds = {tid: INACTIVATED_THRESHOLD if score < params.short_threshold else KEPT
+                 for tid, _, score in existing}
     else:
         windows = [state.active[tid] for tid, _, _ in existing]
         if observer is not None and windows:
             observer(frame, windows)
         kinds, _ = decide_frame(windows, params, ctx, inference, bp)
-        for tid, box, score in existing:
-            kind = kinds[tid]
-            if kind not in ACTIVE_KINDS:
-                _inactivate(state, tid)
-            decisions.append(TrackletDecision(tid, box, score, kind))
+    for tid, box, score in existing:
+        if kinds[tid] not in ACTIVE_KINDS:
+            _inactivate(state, tid)
+        decisions.append(TrackletDecision(tid, box, score, kinds[tid]))
 
     # New detections, greedy score-descending suppression against everything
     # kept. Detections below the short-tracklet threshold never start: a
@@ -166,7 +160,6 @@ def run(hypotheses: TrackFile, params: ModelParams, ctx: FrameContext,
             if d.decision in ACTIVE_KINDS:
                 out.append(TrackRecord(frame, d.track_id, d.box.left, d.box.top,
                                        d.box.width, d.box.height, d.score))
-    out.sort(key=lambda r: (r.frame, r.track_id))
     return TrackFile(out)
 
 
@@ -280,10 +273,7 @@ def scenario_from_json(text: str) -> ScenarioSpec:
     [[start_frame, [px, py]], ...]) a tuple; ScenarioSpec.validate checks
     every value.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad scenario JSON: {exc}")
+    data = _decode_json(text, "scenario JSON")
     if not isinstance(data, dict):
         raise ValidationError("scenario JSON must be an object")
     unknown = set(data) - {f.name for f in fields(ScenarioSpec)}

@@ -24,7 +24,7 @@ from .crf_model import (ModelParams, compute_feature_tables, graph_from_features
 from .errors import FormatError, NumericalError, ValidationError
 from .factor_graph import labeling_energies
 from .features import FrameContext, HypothesisWindow, is_integer
-from .io import TrackFile, frame_from_json, frame_to_json
+from .io import TrackFile, _decode_json, frame_from_json, frame_to_json
 from .metrics import iou
 
 OWNER_IOU = 0.5
@@ -244,11 +244,11 @@ def load_dataset(path) -> list[TrainingSample]:
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
+                data = _decode_json(line, "dataset JSON")
                 ctx, windows, gold = frame_from_json(data)
                 if not (isinstance(data.get("sequence"), str) and is_integer(data.get("frame"))):
                     raise FormatError("dataset line needs a string sequence and an integer frame")
-            except (json.JSONDecodeError, FormatError, ValidationError) as exc:
+            except (FormatError, ValidationError) as exc:
                 raise FormatError(str(exc), line=lineno)
             samples.append(TrainingSample(windows=windows, ctx=ctx, gold=gold,
                                           sequence=data["sequence"], frame=data["frame"]))

@@ -106,6 +106,8 @@ class TestWrite:
         values = oracle_doubles(np.random.default_rng(12), 100_000)
         ties = {d: sum((v * (2 << d)) % 2.0 == 1.0 for v in values) for d in (2, 4)}
         assert min(ties.values()) > 5_000
+        # numpy.float64 inputs too, +-DBL_MAX among them: scaling those must not warn.
+        values += list(np.array(values[:2_000]))
         expected = {d: [quantize(v, d) for v in values] for d in (2, 4)}
         records = [TrackRecord(i, 1, v, 1.0, 1.0, 1.0, v) for i, v in enumerate(values, 1)]
         path = tmp_path / "t.txt"
@@ -131,9 +133,14 @@ class TestWrite:
     def test_seqinfo_round_trip(self, tmp_path):
         path = tmp_path / "seqinfo.txt"
         write_seqinfo(path, FrameContext(1920, 1080, 5.0), 70)
+        assert path.read_text() == "imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=70\n"
         ctx, length = parse_seqinfo(path)
         assert ctx == FrameContext(1920, 1080, 5.0)
         assert length == 70
+        # %g would write 1.23457e+06 and 29.97; these must read back exactly.
+        for exact in (FrameContext(1234567, 1080, 30000 / 1001), FrameContext(1e300, 1080, 5.0)):
+            write_seqinfo(path, exact, 70)
+            assert parse_seqinfo(path) == (exact, 70)
 
 
 def oracle_doubles(rng, n):
@@ -530,6 +537,23 @@ class TestCli:
         assert main(gen_args(workdir)) == 0
         ctx, _ = parse_seqinfo(workdir / "seqinfo.txt")
         assert ctx.image_width == 1e300
+
+    @pytest.mark.parametrize("command", ["infer", "gen", "check-gradients"])
+    def test_deeply_nested_json_exit_code(self, workdir, capsys, command):
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        for name in ("frame.json", "spec.json", "dataset.txt"):
+            (workdir / name).write_text("[" * 100_000)
+        code = main({
+            "infer": ["infer", "--frame-json", str(workdir / "frame.json"),
+                      "--params", str(workdir / "params.txt")],
+            "gen": gen_args(workdir),
+            "check-gradients": ["check-gradients", "--params", str(workdir / "params.txt"),
+                                "--dataset", str(workdir / "dataset.txt")],
+        }[command])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON" in err and "Traceback" not in err
 
     def test_exit_code_mapping(self):
         assert exit_code_for(FormatError("x")) == 2

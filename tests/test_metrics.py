@@ -1,9 +1,14 @@
+import itertools
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from crftrack.errors import ValidationError
 from crftrack.features import Box
 from crftrack.io import TrackFile, TrackRecord
-from crftrack.metrics import (clear_mot, evaluate, idf1, iou, match_frame,
+from crftrack.metrics import (EvalReport, clear_mot, evaluate, idf1, iou, match_frame,
                               report_csv, report_text)
 
 
@@ -176,3 +181,113 @@ class TestReports:
             1.0 - (report.fp + report.fn + report.ids) / report.gt)
         assert 0.0 <= report.idf1 <= 1.0
         assert min(report.fp, report.fn, report.ids, report.idtp) >= 0
+
+
+def random_track_files(rng):
+    """A seeded ground truth (ids 1-5) and hypothesis file (ids 1-8) of 14 frames.
+
+    Hypothesis boxes follow ground-truth boxes under an id map that switches
+    now and then, shifted by a random amount or by a third of the width,
+    where the IoU is 0.5 up to rounding; strays overlap ground truth or lie
+    apart. Frames 3 and 9 have ground truth only, frames 6 and 12 hypotheses
+    only.
+    """
+    width = 30.0
+    base = {gid: rng.uniform(0.0, 150.0) for gid in range(1, 6)}
+    id_map = {gid: gid for gid in base}
+    gt_rows, hyp_rows = [], []
+    for f in range(1, 15):
+        present = [gid for gid in base if rng.random() < 0.8]
+        boxes = {gid: (base[gid] + 2.0 * f, 10.0 * gid) for gid in present}
+        if f not in (6, 12):
+            gt_rows += [rec(f, gid, left, top, width, 60.0) for gid, (left, top) in boxes.items()]
+        if f in (3, 9):
+            continue
+        used = set()
+        for gid, (left, top) in boxes.items():
+            if rng.random() < 0.1:
+                id_map[gid] = int(rng.integers(1, 9))
+            hid = id_map[gid]
+            if rng.random() < 0.8 and hid not in used:
+                shift = rng.choice([rng.uniform(-15.0, 15.0), width / 3,
+                                    np.nextafter(width / 3, 0.0), np.nextafter(width / 3, 99.0)])
+                used.add(hid)
+                hyp_rows.append(rec(f, hid, left + shift, top, width, 60.0))
+        stray = int(rng.integers(1, 9))
+        if stray not in used and boxes and rng.random() < 0.5:
+            left, top = list(boxes.values())[int(rng.integers(len(boxes)))]
+            hyp_rows.append(rec(f, stray, left + rng.choice([5.0, 400.0]), top, width, 60.0))
+    return track_file(gt_rows), track_file(hyp_rows)
+
+
+def reference_reports(gt, hyp):
+    """Both reports recomputed the plain way, for comparison with clear_mot and idf1.
+
+    Each frame's boxes are picked from the records directly. The CLEAR counters
+    come from each GT trajectory's history of matched hypothesis ids. Each
+    (GT id, hypothesis id) overlap is counted over frames, pair by pair, and
+    fed to linear_sum_assignment.
+    """
+    frames = sorted({r.frame for r in gt.records + hyp.records})
+    gt_boxes = {(r.track_id, r.frame): r.box() for r in gt.records}
+    hyp_boxes = {(r.track_id, r.frame): r.box() for r in hyp.records}
+    history, last = {}, {}
+    fp = fn = 0
+    for f in frames:
+        g = [(gid, box) for (gid, frame), box in gt_boxes.items() if frame == f]
+        h = [(hid, box) for (hid, frame), box in hyp_boxes.items() if frame == f]
+        matches, n_fp, n_fn = match_frame(g, h, last)
+        fp, fn = fp + n_fp, fn + n_fn
+        for gid, _ in g:
+            history.setdefault(gid, []).append(matches.get(gid))
+        last.update(matches)
+    ids = frag = mt = ml = 0
+    for seq in history.values():
+        matched = [hid for hid in seq if hid is not None]
+        ids += sum(a != b for a, b in zip(matched, matched[1:]))
+        tail = list(itertools.dropwhile(lambda hid: hid is None, seq))
+        frag += sum(a is None and b is not None for a, b in zip(tail, tail[1:]))
+        mt += len(matched) / len(seq) > 0.8
+        ml += len(matched) / len(seq) < 0.2
+    n_gt, n_hyp = len(gt), len(hyp)
+    clear = EvalReport(mota=1.0 - (fp + fn + ids) / n_gt, fp=fp, fn=fn, ids=ids, gt=n_gt,
+                       mt=mt, ml=ml, frag=frag)
+
+    gids = sorted({gid for gid, _ in gt_boxes})
+    hids = sorted({hid for hid, _ in hyp_boxes})
+    overlap = np.array([[sum((hid, f) in hyp_boxes and (gid, f) in gt_boxes
+                             and iou(gt_boxes[gid, f], hyp_boxes[hid, f]) >= 0.5
+                             for f in frames) for hid in hids] for gid in gids], dtype=int)
+    overlap = overlap.reshape(len(gids), len(hids))
+    idtp = int(overlap[linear_sum_assignment(overlap, maximize=True)].sum())
+    ident = EvalReport(idf1=2 * idtp / (n_gt + n_hyp), idp=idtp / n_hyp if n_hyp else 0.0,
+                       idr=idtp / n_gt, idtp=idtp, idfp=n_hyp - idtp, idfn=n_gt - idtp, gt=n_gt)
+    return clear, ident
+
+
+class TestReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_files_match_reference(self, seed):
+        gt, hyp = random_track_files(np.random.default_rng(seed))
+        clear, ident = reference_reports(gt, hyp)
+        assert clear_mot(gt, hyp) == clear
+        assert idf1(gt, hyp) == ident
+        assert evaluate(gt, hyp) == replace(clear, **{
+            k: getattr(ident, k) for k in ("idf1", "idp", "idr", "idtp", "idfp", "idfn")})
+
+    def test_files_cover_the_edge_cases(self):
+        files = [random_track_files(np.random.default_rng(seed)) for seed in range(40)]
+        ious = [iou(g.box(), h.box()) for gt, hyp in files for g in gt.records
+                for h in hyp.records if g.frame == h.frame]
+        assert any(0.49 < v < 0.5 for v in ious) and any(0.5 <= v < 0.51 for v in ious)
+        assert all(not {3, 9} & {r.frame for r in hyp.records} for _, hyp in files)
+        assert all(not {6, 12} & {r.frame for r in gt.records} for gt, _ in files)
+        assert any({6, 7, 8} & {r.track_id for r in hyp.records} for _, hyp in files)
+        assert sum(clear_mot(gt, hyp).ids for gt, hyp in files) > 0
+
+    def test_empty_hypothesis_file(self, rng):
+        gt, _ = random_track_files(rng)
+        clear, ident = reference_reports(gt, TrackFile([]))
+        assert clear_mot(gt, TrackFile([])) == clear
+        assert idf1(gt, TrackFile([])) == ident
+        assert (ident.idtp, ident.idfn, clear.fn) == (0, len(gt), len(gt))
