@@ -16,7 +16,7 @@ params = FeatureParams()  # published values: alpha1=1.05, alpha2=1.2, beta=10.8
 
 def window(tid, centers, score, w=60.0, h=150.0):
     boxes = tuple(Box(cx - w / 2, cy - h / 2, w, h) for cx, cy in centers)
-    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score, length=3)
+    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score)
 
 
 # A pedestrian walking at constant speed: every kinematic quantity is bland.

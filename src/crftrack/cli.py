@@ -41,10 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
                    "each with its <run>.seqinfo here or else in --gt")
     p.add_argument("--gt", required=True, help="directory of matching ground-truth files")
     p.add_argument("--params-init", required=True)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--ratio", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    config = training.TrainConfig()
+    p.add_argument("--lr", type=float, default=config.learning_rate)
+    p.add_argument("--epochs", type=int, default=config.epochs)
+    p.add_argument("--ratio", type=int, default=config.positive_ratio)
+    p.add_argument("--seed", type=int, default=config.shuffle_seed)
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-dataset", default=None)
 

@@ -24,8 +24,8 @@ from .errors import FormatError, ValidationError
 from .factor_graph import BpConfig, FactorGraph, InferenceResult, infer
 from .features import FeatureParams, FrameContext, keep_keep_penalties, unary_feature
 
-# Tracklets younger than this many frames skip the CRF: the kinematic
-# features need three boxes.
+# Windows with fewer boxes than this (tracklets younger than this many
+# frames) skip the CRF: the kinematic features need three boxes.
 MIN_CRF_LENGTH = 3
 
 # Decision kinds of one tracklet in one frame.
@@ -63,18 +63,14 @@ class ModelParams:
 class FrameAssembly:
     """One frame's CRF plus the tracklets routed around it.
 
-    node_map sends each graph variable 0..num_vars-1 to its tracklet id;
-    bypass_active and bypass_inactive hold the tracklets decided without it.
+    node_map[v] is the tracklet id of graph variable v; bypass_active and
+    bypass_inactive hold the tracklets decided without the graph.
     """
 
     graph: FactorGraph
-    node_map: dict[int, int]
+    node_map: tuple[int, ...]
     bypass_active: list[int]
     bypass_inactive: list[int]
-
-    @property
-    def real_ids(self) -> list[int]:
-        return [self.node_map[i] for i in range(len(self.node_map))]
 
 
 @functools.lru_cache(maxsize=64)
@@ -101,7 +97,7 @@ def split_frame(windows, params: ModelParams):
     for w in windows:
         if w.score < params.pre_threshold:
             bypass_inactive.append(w.tracklet_id)
-        elif w.length < MIN_CRF_LENGTH:
+        elif len(w.boxes) < MIN_CRF_LENGTH:
             if w.score < params.short_threshold:
                 bypass_inactive.append(w.tracklet_id)
             else:
@@ -147,8 +143,7 @@ def assemble_frame_graph(windows, params: ModelParams, ctx: FrameContext) -> Fra
     nodes, unary_phi, pair_phi, bypass_active, bypass_inactive = \
         compute_feature_tables(windows, params, ctx)
     graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b)
-    node_map = {i: w.tracklet_id for i, w in enumerate(nodes)}
-    return FrameAssembly(graph=graph, node_map=node_map,
+    return FrameAssembly(graph=graph, node_map=tuple(w.tracklet_id for w in nodes),
                          bypass_active=bypass_active, bypass_inactive=bypass_inactive)
 
 
@@ -163,8 +158,8 @@ def decide_frame(windows, params: ModelParams, ctx: FrameContext,
     """
     assembly = assemble_frame_graph(windows, params, ctx)
     result = infer(assembly.graph, inference, bp, trace=trace)
-    kinds = {tid: KEPT if result.map_labels[vi] == 1 else INACTIVATED_CRF
-             for vi, tid in assembly.node_map.items()}
+    kinds = {tid: KEPT if label == 1 else INACTIVATED_CRF
+             for tid, label in zip(assembly.node_map, result.map_labels)}
     kinds.update((tid, BYPASS) for tid in assembly.bypass_active)
     kinds.update((tid, INACTIVATED_THRESHOLD) for tid in assembly.bypass_inactive)
     return kinds, result
@@ -180,10 +175,10 @@ def decide_inactivation(windows, params: ModelParams, ctx: FrameContext,
 
 def labeling_energy(assembly: FrameAssembly, labels: dict[int, int]) -> float:
     """Total energy of a labeling of the CRF nodes; exp(-E)/Z is its probability."""
-    bad = [tid for tid in assembly.real_ids if labels.get(tid) not in (0, 1)]
+    bad = [tid for tid in assembly.node_map if labels.get(tid) not in (0, 1)]
     if bad:
         raise ValidationError(f"labeling needs label 0 or 1 for CRF node of tracklet {bad[0]}")
-    y = np.array([labels[tid] for tid in assembly.real_ids], dtype=np.intp)
+    y = np.array([labels[tid] for tid in assembly.node_map], dtype=np.intp)
     graph = assembly.graph
     i, j = graph.ends.T
     return float(graph.unary[np.arange(len(y)), y].sum()

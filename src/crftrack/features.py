@@ -98,30 +98,24 @@ class HypothesisWindow:
     """One tracklet's recent observations: up to three boxes, oldest first.
 
     boxes[-1] is the current frame; score is the current-frame classification
-    score; length is the tracklet's total age in frames (which can exceed the
-    number of stored boxes). A new tracklet is HypothesisWindow(id, (box,),
-    score, 1), and `extended` gives each later frame's window.
+    score. A tracklet with fewer than three boxes is younger than three
+    frames. A new tracklet is HypothesisWindow(id, (box,), score), and
+    `extended` gives each later frame's window.
     """
 
     tracklet_id: int
     boxes: tuple[Box, ...]
     score: float
-    length: int
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ValidationError(f"score {self.score} outside [0, 1]")
         if not 1 <= len(self.boxes) <= 3:
             raise ValidationError("window stores between 1 and 3 boxes")
-        if self.length < len(self.boxes):
-            raise ValidationError(f"tracklet length {self.length} is below its "
-                                  f"{len(self.boxes)} stored boxes")
-        if self.length >= 3 and len(self.boxes) < 3:
-            raise ValidationError("tracklet of length >= 3 must carry 3 boxes")
 
     def extended(self, box: Box, score: float) -> "HypothesisWindow":
         """The next frame's window: `box` appended, the last three boxes kept."""
-        return HypothesisWindow(self.tracklet_id, (*self.boxes[-2:], box), score, self.length + 1)
+        return HypothesisWindow(self.tracklet_id, (*self.boxes[-2:], box), score)
 
     def _need(self, count, what):
         if len(self.boxes) < count:

@@ -198,7 +198,7 @@ def frame_to_json(ctx: FrameContext, windows, gold=None) -> dict:
     for w in windows:
         items.append({"id": w.tracklet_id, "boxes": [
             [float(b.left), float(b.top), float(b.width), float(b.height)] for b in w.boxes],
-            "score": float(w.score), "length": w.length})
+            "score": float(w.score)})
         if gold and w.tracklet_id in gold:
             items[-1]["gold"] = gold[w.tracklet_id]
     return {"image_width": float(ctx.image_width), "image_height": float(ctx.image_height),
@@ -217,8 +217,8 @@ def frame_from_json(data) -> tuple[FrameContext, list[HypothesisWindow], dict[in
     """Parse a decoded frame object into (ctx, windows, gold labels).
 
     Sizes, frame rate and scores must be JSON numbers, and each box a list
-    of four numbers (left, top, width, height); ids, lengths and the
-    optional per-window gold labels (0 or 1) integers. Other keys are ignored.
+    of four numbers (left, top, width, height); ids and the optional
+    per-window gold labels (0 or 1) integers. Other keys are ignored.
     """
     try:
         ctx = FrameContext(*(_typed(data[key], float, key)
@@ -231,8 +231,7 @@ def frame_from_json(data) -> tuple[FrameContext, list[HypothesisWindow], dict[in
             boxes = tuple(Box(*map(float, b)) for b in w["boxes"])
             windows.append(HypothesisWindow(
                 tracklet_id=_typed(w["id"], int, "window id"), boxes=boxes,
-                score=_typed(w["score"], float, "score"),
-                length=_typed(w["length"], int, "window length")))
+                score=_typed(w["score"], float, "score")))
             if "gold" in w:
                 if _typed(w["gold"], int, "gold label") not in (0, 1):
                     raise FormatError(f"frame JSON gold label must be 0 or 1, got {w['gold']}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .features import Box
@@ -176,6 +175,9 @@ def idf1(gt: TrackFile, hyp: TrackFile) -> EvalReport:
 
     idtp = 0
     if overlap.size:
+        # Imported here: scipy.optimize takes most of `import crftrack`'s
+        # time, and only evaluation needs it.
+        from scipy.optimize import linear_sum_assignment
         rows, cols = linear_sum_assignment(overlap, maximize=True)
         idtp = int(overlap[rows, cols].sum())
 

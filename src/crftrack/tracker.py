@@ -117,7 +117,7 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
 
     # New detections, greedy score-descending suppression against everything
     # kept. Detections below the short-tracklet threshold never start: a
-    # length-1 tracklet would be inactivated by that same rule immediately.
+    # one-box tracklet would be inactivated by that same rule immediately.
     kept_boxes = [d.box for d in decisions if d.decision in ACTIVE_KINDS]
     detections.sort(key=lambda t: (-t[2], t[0] if t[0] is not None else -1))
     for tid, box, score in detections:
@@ -130,7 +130,7 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
         if tid in state.active or tid in state.inactive:
             raise ValidationError(f"tracklet id {tid} reused at frame {frame}")
         state.next_id = max(state.next_id, tid + 1)
-        state.active[tid] = HypothesisWindow(tid, (box,), score, 1)
+        state.active[tid] = HypothesisWindow(tid, (box,), score)
         kept_boxes.append(box)
         decisions.append(TrackletDecision(tid, box, score, KEPT))
 

@@ -40,8 +40,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValidationError("learning_rate must be finite and >= 0")
-        if self.epochs < 1 or self.positive_ratio < 0:
-            raise ValidationError("epochs must be >= 1 and positive_ratio >= 0")
+        for name, low in (("epochs", 1), ("positive_ratio", 0), ("shuffle_seed", 0)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= low):
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -191,7 +193,7 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
             box = rec.box()
             # A tracklet missing from the previous frame restarts its history.
             if last_frame.get(tid) != frame - 1:
-                windows_by_id[tid] = HypothesisWindow(tid, (box,), rec.score, 1)
+                windows_by_id[tid] = HypothesisWindow(tid, (box,), rec.score)
                 gt_here = gt_frames.get(frame, {})
                 best = max(gt_here, key=lambda g: iou(box, gt_here[g]), default=None)
                 owned = best is not None and iou(box, gt_here[best]) >= OWNER_IOU

@@ -16,15 +16,14 @@ from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
 CTX = FrameContext(1920, 1080, 30.0)
 
 
-def steady_window(tid, score, x=100.0, y=100.0, w=40.0, h=100.0, step=2.0, length=None):
+def steady_window(tid, score, x=100.0, y=100.0, w=40.0, h=100.0, step=2.0):
     boxes = tuple(Box(x + step * t, y, w, h) for t in range(3))
-    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score,
-                            length=3 if length is None else length)
+    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score)
 
 
-def short_window(tid, score, length=2):
-    boxes = tuple(Box(100.0 + 2 * t, 100.0, 40.0, 100.0) for t in range(min(length, 3)))
-    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score, length=length)
+def short_window(tid, score, n=2):
+    boxes = tuple(Box(100.0 + 2 * t, 100.0, 40.0, 100.0) for t in range(n))
+    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score)
 
 
 @pytest.fixture
@@ -68,12 +67,12 @@ def reference_pair_phi(nodes, fp, ctx):
 
 
 class TestAssembly:
-    def test_two_real_nodes_padded_to_budget(self, params):
+    def test_two_nodes_two_variables(self, params):
         windows = [steady_window(1, 0.9), steady_window(2, 0.8, x=500)]
         asm = assemble_frame_graph(windows, params, CTX)
         assert asm.graph.num_vars == 2
         assert len(asm.graph.tables) == 1
-        assert asm.node_map == {0: 1, 1: 2}
+        assert asm.node_map == (1, 2)
         assert asm.bypass_active == [] and asm.bypass_inactive == []
 
     def test_highest_scores_filtered_when_over_budget(self, params):
@@ -82,14 +81,14 @@ class TestAssembly:
         assert len(asm.node_map) == 10
         # The two highest scores (ids 10, 11) stay active without CRF nodes.
         assert asm.bypass_active == [10, 11]
-        node_scores = [0.5 + 0.04 * tid for tid in asm.node_map.values()]
+        node_scores = [0.5 + 0.04 * tid for tid in asm.node_map]
         assert max(node_scores) <= min(0.5 + 0.04 * 10, 0.5 + 0.04 * 11)
 
     def test_low_score_bypasses_inactive(self, params):
         windows = [steady_window(1, 0.3), steady_window(2, 0.9, x=500)]
         asm = assemble_frame_graph(windows, params, CTX)
         assert asm.bypass_inactive == [1]
-        assert list(asm.node_map.values()) == [2]
+        assert asm.node_map == (2,)
 
     def test_short_tracklets_use_short_threshold(self, params):
         windows = [short_window(1, 0.45), short_window(2, 0.8)]
@@ -102,14 +101,14 @@ class TestAssembly:
         for _ in range(10):
             windows = []
             for tid in range(1, 15):
-                length = int(rng.integers(1, 6))
+                age = int(rng.integers(1, 6))
                 score = float(rng.uniform(0, 1))
-                if length >= 3:
+                if age >= 3:
                     windows.append(steady_window(tid, score, x=50 + 40 * tid))
                 else:
-                    windows.append(short_window(tid, score, length=length))
+                    windows.append(short_window(tid, score, n=age))
             asm = assemble_frame_graph(windows, params, CTX)
-            routed = sorted(list(asm.node_map.values()) + asm.bypass_active
+            routed = sorted(list(asm.node_map) + asm.bypass_active
                             + asm.bypass_inactive)
             assert routed == [w.tracklet_id for w in sorted(windows, key=lambda w: w.tracklet_id)]
             assert asm.graph.num_vars == len(asm.node_map) <= params.node_budget
@@ -162,7 +161,7 @@ class TestDecide:
 
     def test_collapsing_box_inactivated(self, params):
         boxes = (Box(0, 0, 10, 20), Box(0, 0, 10, 20), Box(0, 0, 30, 20))
-        win = HypothesisWindow(tracklet_id=1, boxes=boxes, score=0.45, length=3)
+        win = HypothesisWindow(tracklet_id=1, boxes=boxes, score=0.45)
         asm = assemble_frame_graph([win], params, CTX)
         assert asm.graph.unary[0, 0] == pytest.approx(0.98 * 0.45)
         assert asm.graph.unary[0, 1] == pytest.approx(0.98 * (0.55 + 1.2 * 2.0))
@@ -202,7 +201,7 @@ class TestLabelingEnergy:
         tight = with_tight_budget(params, 3)
         asm = assemble_frame_graph(windows, tight, CTX)
         result = exact_inference(asm.graph)
-        ids = asm.real_ids
+        ids = asm.node_map
         # exp(-energy)/Z is the joint probability; it must normalize over all
         # labelings and reproduce the exact node marginals when summed out.
         probs = {}
@@ -224,7 +223,7 @@ class TestLabelingEnergy:
         assert n >= 6 and len(asm.graph.tables) == n * (n - 1) // 2
         result = exact_inference(asm.graph)
         energies = np.array([
-            labeling_energy(asm, {tid: (m >> v) & 1 for v, tid in enumerate(asm.real_ids)})
+            labeling_energy(asm, {tid: (m >> v) & 1 for v, tid in enumerate(asm.node_map)})
             for m in range(1 << n)])
         assert np.exp(-energies - result.log_partition).sum() == pytest.approx(1.0, abs=1e-12)
         best = int(np.argmin(energies))

@@ -10,10 +10,8 @@ CTX = FrameContext(1920, 1080, 30.0)
 PARAMS = FeatureParams()
 
 
-def window_from_boxes(boxes, score=0.9, tid=1, length=None):
-    boxes = tuple(Box(*b) for b in boxes)
-    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score,
-                            length=len(boxes) if length is None else length)
+def window_from_boxes(boxes, score=0.9, tid=1):
+    return HypothesisWindow(tracklet_id=tid, boxes=tuple(Box(*b) for b in boxes), score=score)
 
 
 def window_from_centers(centers, w=10.0, h=20.0, score=0.9, tid=1):
@@ -23,19 +21,19 @@ def window_from_centers(centers, w=10.0, h=20.0, score=0.9, tid=1):
 
 class TestAspectRatioChange:
     def test_unchanged(self):
-        win = window_from_boxes([(0, 0, 10, 20), (0, 0, 10, 20)], length=2)
+        win = window_from_boxes([(0, 0, 10, 20), (0, 0, 10, 20)])
         assert aspect_ratio_change(win) == 1.0
 
     def test_widening(self):
-        win = window_from_boxes([(0, 0, 10, 20), (0, 0, 15, 20)], length=2)
+        win = window_from_boxes([(0, 0, 10, 20), (0, 0, 15, 20)])
         assert aspect_ratio_change(win) == pytest.approx(1.5)
 
     def test_hand_value(self):
-        win = window_from_boxes([(0, 0, 12, 30), (0, 0, 8, 32)], length=2)
+        win = window_from_boxes([(0, 0, 12, 30), (0, 0, 8, 32)])
         assert aspect_ratio_change(win) == pytest.approx(0.625)
 
     def test_insufficient_history(self):
-        win = window_from_boxes([(0, 0, 10, 20)], length=1)
+        win = window_from_boxes([(0, 0, 10, 20)])
         with pytest.raises(InsufficientHistoryError):
             aspect_ratio_change(win)
 
@@ -208,16 +206,17 @@ class TestTypes:
 
     def test_window_validation(self):
         with pytest.raises(ValidationError):
-            HypothesisWindow(1, (Box(0, 0, 1, 1),), score=1.5, length=1)
-        with pytest.raises(ValidationError):
-            HypothesisWindow(1, (Box(0, 0, 1, 1),), score=0.5, length=3)
+            HypothesisWindow(1, (Box(0, 0, 1, 1),), score=1.5)
+        for count in (0, 4):
+            with pytest.raises(ValidationError):
+                HypothesisWindow(1, (Box(0, 0, 1, 1),) * count, score=0.5)
 
     def test_window_extended(self):
         boxes = [Box(float(k), 0, 10, 20) for k in range(5)]
-        win = HypothesisWindow(7, (boxes[0],), score=0.9, length=1)
+        win = HypothesisWindow(7, (boxes[0],), score=0.9)
         for k, box in enumerate(boxes[1:], start=2):
             win = win.extended(box, 0.8)
-            assert win.tracklet_id == 7 and win.length == k and win.score == 0.8
+            assert win.tracklet_id == 7 and len(win.boxes) == min(k, 3) and win.score == 0.8
             assert win.boxes == tuple(boxes[max(0, k - 3):k])
         with pytest.raises(ValidationError):
             win.extended(boxes[0], 1.5)

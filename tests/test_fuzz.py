@@ -38,7 +38,7 @@ FRAME = {"image_width": 1920, "image_height": 1080, "frame_rate": 5,
 
 def dataset_samples():
     windows = [HypothesisWindow(tracklet_id=tid, boxes=tuple(
-        Box(x + 60.0 * tid, y, w, h) for x, y, w, h in WINDOW_BOXES), score=0.7, length=3)
+        Box(x + 60.0 * tid, y, w, h) for x, y, w, h in WINDOW_BOXES), score=0.7)
         for tid in (1, 2)]
     return [TrainingSample(windows=windows, ctx=FrameContext(1920.0, 1080.0, 5.0),
                            gold={1: 1, 2: 0}, sequence="s", frame=frame)

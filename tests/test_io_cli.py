@@ -230,9 +230,9 @@ class TestCli:
             "image_width": 1920, "image_height": 1080, "frame_rate": 30,
             "windows": [
                 {"id": 1, "boxes": [[100, 100, 40, 100], [102, 100, 40, 100],
-                                    [104, 100, 40, 100]], "score": 0.9, "length": 3},
+                                    [104, 100, 40, 100]], "score": 0.9},
                 {"id": 2, "boxes": [[500, 100, 40, 100], [502, 100, 40, 100],
-                                    [560, 100, 40, 100]], "score": 0.8, "length": 3},
+                                    [560, 100, 40, 100]], "score": 0.8},
             ],
         }
         (workdir / "frame.json").write_text(json.dumps(frame))
@@ -256,6 +256,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert "max_relative_error" in captured.out
         assert "warning" not in captured.err
+
+    @pytest.mark.parametrize("option", [("--seed", "-1"), ("--epochs", "0"), ("--ratio", "-1")])
+    def test_train_bad_integer_option_exit_code(self, workdir, capsys, option):
+        args = train_args(workdir, "0.01")
+        args[args.index(option[0]) + 1] = option[1]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (workdir / "trained.txt").exists()
 
     def test_train_warns_when_loglik_falls(self, workdir, capsys):
         # A step this large overshoots the likelihood maximum on every update.
@@ -318,7 +327,7 @@ class TestCli:
         save_params(workdir / "params.txt", params, bp)
         text = (workdir / "params.txt").read_text().replace("node_budget=10", "node_budget=25")
         (workdir / "params25.txt").write_text(text)
-        windows = [HypothesisWindow(tracklet_id=tid, score=0.9, length=3, boxes=tuple(
+        windows = [HypothesisWindow(tracklet_id=tid, score=0.9, boxes=tuple(
             Box(90.0 * tid + 2 * t, 100.0, 40.0, 100.0) for t in range(3)))
             for tid in range(21)]
         save_dataset(workdir / "dataset.txt", [TrainingSample(
@@ -427,7 +436,7 @@ class TestCli:
         (workdir / "params25.txt").write_text(content)
         frame = {"image_width": 1920, "image_height": 1080, "frame_rate": 30,
                  "windows": [{"id": tid, "boxes": [[0, 0, 10, 20]] * 3,
-                              "score": 0.9, "length": 3} for tid in range(1, 22)]}
+                              "score": 0.9} for tid in range(1, 22)]}
         (workdir / "frame.json").write_text(json.dumps(frame))
         code = main(["infer", "--frame-json", str(workdir / "frame.json"),
                      "--params", str(workdir / "params25.txt"),
@@ -435,14 +444,13 @@ class TestCli:
         assert code == 4
 
     @pytest.mark.parametrize("field", [
-        {"image_width": "abc"}, {"id": 1.7}, {"length": 3.9}, {"length": -3},
-        {"id": True}, {"length": True}, {"boxes": ["1234"]}, {"score": True},
+        {"image_width": "abc"}, {"id": 1.7}, {"id": True}, {"boxes": ["1234"]}, {"score": True},
         {"image_width": "1920"}, {"boxes": [[1, 2, 3]]}, {"boxes": [[1, 2, 3, 4, 5]]},
         {"boxes": [5]}])
     def test_non_numeric_frame_field_exit_code(self, workdir, capsys, field):
         from crftrack.crf_model import default_params, save_params
         save_params(workdir / "params.txt", *default_params())
-        window = {"id": 1, "boxes": [[100, 100, 40, 100]] * 3, "score": 0.9, "length": 3}
+        window = {"id": 1, "boxes": [[100, 100, 40, 100]] * 3, "score": 0.9}
         frame = {"image_width": 1920, "image_height": 1080, "frame_rate": 30,
                  "windows": [window]}
         (frame if "image_width" in field else window).update(field)
@@ -455,12 +463,41 @@ class TestCli:
         if "boxes" in field:
             assert "box must be a list of 4 numbers" in err
 
+    @pytest.mark.parametrize("inference", ["exact", "loopy-bp"])
+    def test_infer_ignores_window_length(self, workdir, capsys, inference):
+        # A window's age is its box count: frame_to_json writes no `length`,
+        # and frame_from_json ignores one, whatever its value.
+        from crftrack.crf_model import default_params, save_params
+        from crftrack.features import Box, FrameContext, HypothesisWindow
+        from crftrack.io import frame_to_json
+        save_params(workdir / "params.txt", *default_params())
+        windows = [HypothesisWindow(1, tuple(Box(100.0 + 2 * t, 100, 40, 100) for t in range(3)),
+                                    score=0.9),
+                   HypothesisWindow(2, (Box(500, 100, 40, 100), Box(502, 100, 40, 100),
+                                        Box(560, 100, 40, 100)), score=0.8),
+                   HypothesisWindow(3, (Box(900, 100, 40, 100), Box(902, 100, 40, 100)),
+                                    score=0.45)]
+        frame = frame_to_json(FrameContext(1920, 1080, 30), windows)
+        assert all("length" not in w for w in frame["windows"])
+        outputs = set()
+        for length in (None, 3, 18, 1, 0, -3, 3.9, True, "x", [3]):
+            for w in frame["windows"]:
+                w.pop("length", None)
+                if length is not None:
+                    w["length"] = length
+            (workdir / "frame.json").write_text(json.dumps(frame))
+            assert main(["infer", "--frame-json", str(workdir / "frame.json"),
+                         "--params", str(workdir / "params.txt"),
+                         "--inference", inference]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert outputs == {"1 1\n2 0\n3 0\n"}
+
     def test_message_dump_needs_loopy_bp(self, workdir, capsys):
         from crftrack.crf_model import default_params, save_params
         save_params(workdir / "params.txt", *default_params())
         frame = {"image_width": 1920, "image_height": 1080, "frame_rate": 30,
                  "windows": [{"id": 1, "boxes": [[100, 100, 40, 100]] * 3,
-                              "score": 0.9, "length": 3}]}
+                              "score": 0.9}]}
         (workdir / "frame.json").write_text(json.dumps(frame))
         code = main(["infer", "--frame-json", str(workdir / "frame.json"),
                      "--params", str(workdir / "params.txt"), "--inference", "exact",

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import crftrack
 from crftrack.errors import ValidationError
 from crftrack.features import Box
 from crftrack.io import TrackFile, TrackRecord
@@ -291,3 +296,12 @@ class TestReference:
         assert clear_mot(gt, TrackFile([])) == clear
         assert idf1(gt, TrackFile([])) == ident
         assert (ident.idtp, ident.idfn, clear.fn) == (0, len(gt), len(gt))
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize dominates import time, and only idf1 uses it.
+    env = {**os.environ, "PYTHONPATH": str(Path(crftrack.__file__).parents[1])}
+    code = "import sys, crftrack; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"

@@ -104,7 +104,7 @@ class TestStep:
         frames = [[moving(1, f)] for f in range(1, 9)]
         state, _ = feed(frames)
         assert len(state.active[1].boxes) == 3
-        assert state.active[1].length == 8
+        assert state.active[1].boxes == tuple(moving(1, f)[1] for f in (6, 7, 8))
 
     def test_fresh_ids_never_reused(self):
         state, _ = feed([[(None, Box(100, 100, 40, 100), 0.9)],

@@ -22,7 +22,7 @@ CTX = FrameContext(1920, 1080, 30.0)
 
 def steady_window(tid, score, x=100.0, step=2.0, h=100.0):
     boxes = tuple(Box(x + step * t, 100.0, 0.4 * h, h) for t in range(3))
-    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score, length=3)
+    return HypothesisWindow(tracklet_id=tid, boxes=boxes, score=score)
 
 
 def single_node_sample(score=0.9, gold=1):
@@ -298,6 +298,13 @@ class TestSgd:
     def test_bad_learning_rate_rejected(self, rate):
         with pytest.raises(ValidationError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("field", [
+        {"epochs": 0}, {"epochs": 2.5}, {"epochs": True}, {"positive_ratio": -1},
+        {"positive_ratio": 1.5}, {"shuffle_seed": -1}, {"shuffle_seed": 0.5}])
+    def test_bad_integer_setting_rejected(self, field):
+        with pytest.raises(ValidationError, match=next(iter(field))):
+            TrainConfig(**field)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
