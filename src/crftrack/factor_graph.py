@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError
+from .features import is_integer
 
 # Enumeration bound for exact inference: 2**20 labelings is the ceiling.
 MAX_EXACT_VARS = 20
@@ -111,8 +112,9 @@ class BpConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
+            raise ValidationError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValidationError("tolerance must be finite and > 0")
         if not (0.0 <= self.damping < 1.0):
@@ -288,50 +290,57 @@ def _message_passing(graph, config, maximize, trace=None):
     log_keep = -np.inf if config.damping == 0.0 else math.log(config.damping)
     log_mix = math.log1p(-config.damping)
 
-    log_unary = _normalized(-graph.unary)
     log_kernels = -graph.tables
-    # Flattened endpoint variable index per (pair, endpoint) message slot.
-    endpoints = graph.ends.reshape(-1)
-
-    f2v = np.full((n_pairs, 2, 2), math.log(0.5))  # [pair, endpoint, label]
+    # folds[k, e, x, c] is factor k's log-kernel with endpoint e labelled x
+    # and the other endpoint labelled c, so one broadcast add folds both ends.
+    folds = np.stack([log_kernels, log_kernels.transpose(0, 2, 1)], axis=1)
+    # Flat belief slot 2 * v + y of each (pair, endpoint, label) message entry.
+    slots = (2 * graph.ends.reshape(-1, 1) + (0, 1)).reshape(-1)
+    # Beliefs are one bincount: the unary slots first, then every message slot
+    # in endpoint order. That adds in the order of adding each message into a
+    # copy of the unary table in turn, as 0.0 + u == u.
+    bins = np.concatenate([np.arange(2 * n), slots])
+    weights = np.empty(len(bins))
+    weights[:2 * n] = _normalized(-graph.unary).reshape(-1)
+    message_weights = weights[2 * n:].reshape(n_pairs, 2, 2)
 
     def beliefs_from(f2v_cur):
-        b = log_unary.copy()
-        np.add.at(b, endpoints, f2v_cur.reshape(-1, 2))
-        return b
+        message_weights[...] = f2v_cur
+        return np.bincount(bins, weights, minlength=2 * n)
 
     def cavity(b, f2v_cur):
         # Variable-to-factor: the belief with this factor's own message taken out.
-        return _normalized(b[endpoints].reshape(n_pairs, 2, 2) - f2v_cur)
+        return _normalized(b[slots].reshape(n_pairs, 2, 2) - f2v_cur)
 
+    f2v = np.full((n_pairs, 2, 2), math.log(0.5))  # [pair, endpoint, label]
+    f2v_prob = np.exp(f2v)
     converged = n_pairs == 0
     iterations = 0
     for iterations in range(1, (config.max_iterations + 1) if n_pairs else 1):
         v2f = cavity(beliefs_from(f2v), f2v)
-        to_i = combine(log_kernels[:, :, 0] + v2f[:, 1, None, 0],
-                       log_kernels[:, :, 1] + v2f[:, 1, None, 1])
-        to_j = combine(log_kernels[:, 0, :] + v2f[:, 0, 0, None],
-                       log_kernels[:, 1, :] + v2f[:, 0, 1, None])
-        new_f2v = _normalized(np.stack([to_i, to_j], axis=1))
+        folded = folds + v2f[:, ::-1, None, :]
+        new_f2v = _normalized(combine(folded[..., 0], folded[..., 1]))
         # Damping mixes old and new messages as probabilities.
         damped = np.logaddexp(log_keep + f2v, log_mix + new_f2v)
-        change = float(np.abs(np.exp(damped) - np.exp(f2v)).max())
+        damped_prob = np.exp(damped)
+        change = float(np.maximum.reduce(np.abs(damped_prob - f2v_prob), axis=None))
         # Saturated messages can move by many nats and still read as no
         # change in probability; such a message has not converged either.
-        settled = float(np.abs(damped - f2v).max()) <= MAX_SETTLED_NATS
-        f2v = damped
+        settled = (change <= config.tolerance and
+                   np.maximum.reduce(np.abs(damped - f2v), axis=None) <= MAX_SETTLED_NATS)
+        f2v, f2v_prob = damped, damped_prob
         if trace is not None:
-            f2v_prob, v2f_prob = np.exp(f2v), np.exp(v2f)
+            v2f_prob = np.exp(v2f)
             for k, pair in enumerate(graph.ends.tolist()):
                 for e, v in enumerate(pair):
                     trace.append((iterations, n + k, v, "f2v", *map(float, f2v_prob[k, e])))
                     trace.append((iterations, n + k, v, "v2f", *map(float, v2f_prob[k, e])))
-        if change <= config.tolerance and settled:
+        if settled:
             converged = True
             break
 
     beliefs = beliefs_from(f2v)
-    log_marginals = _normalized(beliefs)
+    log_marginals = _normalized(beliefs.reshape(n, 2))
     # Factor beliefs from the final variable-to-factor messages.
     v2f = cavity(beliefs, f2v)
     log_pairs = (log_kernels + v2f[:, 0, :, None] + v2f[:, 1, None, :]).reshape(-1, 4)

@@ -150,16 +150,25 @@ def sgd_train(samples, init: ModelParams, config: TrainConfig, bp=None) -> Train
 
 
 def finite_diff_check(params: ModelParams, sample: TrainingSample, h: float) -> float:
-    """Max relative error of the analytic gradient vs centered differences."""
-    if not h > 0:
-        raise ValidationError("step h must be > 0")
+    """Max relative error of the analytic gradient vs centered differences.
+
+    A step whose perturbed energies overflow float range raises NumericalError.
+    """
+    if not (math.isfinite(h) and h > 0):
+        raise ValidationError(f"step h must be finite and > 0, got {h!r}")
     errors = []
-    for g, (du, db) in zip(gradient(params, sample), ((h, 0.0), (0.0, h))):
-        plus = with_weights(params, params.theta_u + du, params.theta_b + db)
-        minus = with_weights(params, params.theta_u - du, params.theta_b - db)
-        fd = (log_likelihood(plus, [sample]) - log_likelihood(minus, [sample])) / (2 * h)
-        vanishes = abs(g) < 1e-12 and abs(fd) < 1e-12
-        errors.append(0.0 if vanishes else abs(g - fd) / max(abs(fd), 1e-8))
+    # Overflow in the energies shows as a non-finite gradient or difference.
+    with np.errstate(all="ignore"):
+        for g, (du, db) in zip(gradient(params, sample), ((h, 0.0), (0.0, h))):
+            plus = with_weights(params, params.theta_u + du, params.theta_b + db)
+            minus = with_weights(params, params.theta_u - du, params.theta_b - db)
+            fd = (log_likelihood(plus, [sample]) - log_likelihood(minus, [sample])) / (2 * h)
+            if not (math.isfinite(g) and math.isfinite(fd)):
+                raise NumericalError(
+                    f"gradient check with step h={h!r} is not finite on sample "
+                    f"{sample.sequence}:{sample.frame}: a value overflows float range")
+            vanishes = abs(g) < 1e-12 and abs(fd) < 1e-12
+            errors.append(0.0 if vanishes else abs(g - fd) / max(abs(fd), 1e-8))
     return max(errors)
 
 

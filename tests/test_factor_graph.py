@@ -7,9 +7,9 @@ import pytest
 
 from conftest import random_full_graph, random_tree_graph, reference_enumeration
 from crftrack.errors import CapacityError, NumericalError, ValidationError
-from crftrack.factor_graph import (COLUMN_VARS, BpConfig, FactorGraph, _labeling_half,
-                                   exact_inference, infer, labeling_energies, max_product,
-                                   sum_product)
+from crftrack.factor_graph import (COLUMN_VARS, MAX_SETTLED_NATS, BpConfig, FactorGraph,
+                                   _labeling_half, exact_inference, infer, labeling_energies,
+                                   max_product, sum_product)
 
 # BP settings for acyclic graphs: undamped flooding reaches the exact fixed
 # point in finitely many sweeps.
@@ -23,6 +23,67 @@ FC5_SEED11_MAP_AGREEMENT = 0.9696
 
 def single_var_graph(e0, e1):
     return FactorGraph(num_vars=1, unary=np.array([[e0, e1]], dtype=float))
+
+
+def _reference_normalized(log_msg):
+    return log_msg - np.logaddexp(log_msg[..., :1], log_msg[..., 1:])
+
+
+def reference_message_passing(graph, config, maximize, trace=None):
+    """The flooding loop one numpy call at a time, kept as the bit-level reference.
+
+    Each sweep copies the unary table and adds the messages in with np.add.at,
+    folds each factor endpoint separately and computes every exponential anew;
+    `_message_passing` must reproduce it bit for bit.
+    """
+    n = graph.num_vars
+    n_pairs = len(graph.tables)
+    combine = np.maximum if maximize else np.logaddexp
+    log_keep = -np.inf if config.damping == 0.0 else math.log(config.damping)
+    log_mix = math.log1p(-config.damping)
+    log_unary = _reference_normalized(-graph.unary)
+    log_kernels = -graph.tables
+    endpoints = graph.ends.reshape(-1)
+    f2v = np.full((n_pairs, 2, 2), math.log(0.5))
+
+    def beliefs_from(f2v_cur):
+        b = log_unary.copy()
+        np.add.at(b, endpoints, f2v_cur.reshape(-1, 2))
+        return b
+
+    def cavity(b, f2v_cur):
+        return _reference_normalized(b[endpoints].reshape(n_pairs, 2, 2) - f2v_cur)
+
+    converged = n_pairs == 0
+    iterations = 0
+    for iterations in range(1, (config.max_iterations + 1) if n_pairs else 1):
+        v2f = cavity(beliefs_from(f2v), f2v)
+        to_i = combine(log_kernels[:, :, 0] + v2f[:, 1, None, 0],
+                       log_kernels[:, :, 1] + v2f[:, 1, None, 1])
+        to_j = combine(log_kernels[:, 0, :] + v2f[:, 0, 0, None],
+                       log_kernels[:, 1, :] + v2f[:, 0, 1, None])
+        new_f2v = _reference_normalized(np.stack([to_i, to_j], axis=1))
+        damped = np.logaddexp(log_keep + f2v, log_mix + new_f2v)
+        change = float(np.abs(np.exp(damped) - np.exp(f2v)).max())
+        settled = float(np.abs(damped - f2v).max()) <= MAX_SETTLED_NATS
+        f2v = damped
+        if trace is not None:
+            f2v_prob, v2f_prob = np.exp(f2v), np.exp(v2f)
+            for k, pair in enumerate(graph.ends.tolist()):
+                for e, v in enumerate(pair):
+                    trace.append((iterations, n + k, v, "f2v", *map(float, f2v_prob[k, e])))
+                    trace.append((iterations, n + k, v, "v2f", *map(float, v2f_prob[k, e])))
+        if change <= config.tolerance and settled:
+            converged = True
+            break
+
+    beliefs = beliefs_from(f2v)
+    log_marginals = _reference_normalized(beliefs)
+    v2f = cavity(beliefs, f2v)
+    log_pairs = (log_kernels + v2f[:, 0, :, None] + v2f[:, 1, None, :]).reshape(-1, 4)
+    log_pairs = log_pairs - np.logaddexp.reduce(log_pairs, axis=1, keepdims=True)
+    return (np.exp(log_marginals), np.exp(log_pairs).reshape(-1, 2, 2),
+            (log_marginals[:, 1] >= log_marginals[:, 0]).astype(int), converged, iterations)
 
 
 class TestExactInference:
@@ -310,6 +371,52 @@ class TestMaxProduct:
         assert agree / total == pytest.approx(FC5_SEED11_MAP_AGREEMENT, abs=0.01)
 
 
+def _sweep_cases():
+    """Seeded complete and random graphs of 0-12 variables, and saturated tables."""
+    for k in range(13):
+        rng = np.random.default_rng(100 + k)
+        ends = np.transpose(np.triu_indices(k, 1))
+        yield f"complete{k}", random_full_graph(rng, k)
+        kept = ends[rng.random(len(ends)) < 0.4]
+        yield f"random{k}", FactorGraph(num_vars=k, unary=rng.normal(0.0, 2.0, (k, 2)),
+                                        ends=kept, tables=rng.normal(0.0, 2.0, (len(kept), 2, 2)))
+    yield "single", single_var_graph(0.3, -0.2)
+    yield "no-pairs", FactorGraph(num_vars=4, unary=np.random.default_rng(5).normal(0, 1, (4, 2)))
+    rng = np.random.default_rng(6)
+    saturated = rng.choice([0.0, 800.0], (10, 2, 2)) + rng.normal(0.0, 1.0, (10, 2, 2))
+    yield "saturated", FactorGraph(num_vars=5, unary=rng.normal(0.0, 800.0, (5, 2)),
+                                   ends=np.transpose(np.triu_indices(5, 1)), tables=saturated)
+
+
+SWEEP_CASES = dict(_sweep_cases())
+
+
+class TestSweepMatchesFloodingReference:
+    @pytest.mark.parametrize("config", (BpConfig(), BpConfig(damping=0.0),
+                                        BpConfig(max_iterations=1)),
+                             ids=("default", "undamped", "one-sweep"))
+    @pytest.mark.parametrize("name", SWEEP_CASES)
+    def test_bit_identical_results(self, name, config):
+        graph = SWEEP_CASES[name]
+        for solver, maximize in ((sum_product, False), (max_product, True)):
+            res = solver(graph, config)
+            marginals, pairs, labels, converged, iterations = reference_message_passing(
+                graph, config, maximize)
+            assert np.array_equal(res.node_marginals, marginals)
+            assert np.array_equal(res.pair_beliefs, pairs)
+            assert np.array_equal(res.map_labels, labels)
+            assert (res.converged, res.iterations_used) == (converged, iterations)
+
+    @pytest.mark.parametrize("name", ("complete6", "random12", "saturated"))
+    def test_identical_traces(self, name):
+        graph, config = SWEEP_CASES[name], BpConfig(max_iterations=5)
+        for solver, maximize in ((sum_product, False), (max_product, True)):
+            trace, expected = [], []
+            solver(graph, config, trace=trace)
+            reference_message_passing(graph, config, maximize, trace=expected)
+            assert trace and trace == expected
+
+
 class TestProperties:
     @pytest.mark.parametrize("scale", (1.0, 400.0))
     def test_tree_exactness(self, rng, scale):
@@ -420,6 +527,10 @@ class TestProperties:
     def test_bp_config_validation(self):
         with pytest.raises(ValidationError):
             BpConfig(max_iterations=0)
+        for value in (2.5, math.inf, True, "5"):
+            with pytest.raises(ValidationError, match="max_iterations must be an integer"):
+                BpConfig(max_iterations=value)
+        assert BpConfig(max_iterations=np.int64(3)).max_iterations == 3
         with pytest.raises(ValidationError):
             BpConfig(tolerance=0.0)
         with pytest.raises(ValidationError):

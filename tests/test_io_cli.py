@@ -257,6 +257,19 @@ class TestCli:
         assert "max_relative_error" in captured.out
         assert "warning" not in captured.err
 
+    @pytest.mark.parametrize("h, code, words", [("inf", 2, "step h must be finite"),
+                                                ("1e308", 3, "step h=1e+308 is not finite")])
+    def test_check_gradients_bad_step_exit_code(self, workdir, capsys, h, code, words):
+        # pytest turns any RuntimeWarning into an error, so an overflow warning fails here.
+        assert main(train_args(workdir, "0.01")) == 0
+        capsys.readouterr()
+        assert main(["check-gradients", "--params", str(workdir / "params.txt"),
+                     "--dataset", str(workdir / "dataset.txt"), "--h", h]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and words in lines[0]
+
     @pytest.mark.parametrize("option", [("--seed", "-1"), ("--epochs", "0"), ("--ratio", "-1")])
     def test_train_bad_integer_option_exit_code(self, workdir, capsys, option):
         args = train_args(workdir, "0.01")

@@ -237,8 +237,9 @@ class TestFiniteDiffCheck:
         assert large > small
 
     def test_rejects_bad_step(self, table_params):
-        with pytest.raises(ValidationError):
-            finite_diff_check(table_params, single_node_sample(), h=0.0)
+        for h in (0.0, -1e-5, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="step h must be finite and > 0"):
+                finite_diff_check(table_params, single_node_sample(), h=h)
 
 
 class TestSgd:
