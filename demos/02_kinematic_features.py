@@ -6,9 +6,11 @@ Kinematic feature functions on tracklet windows
 Shows what the unary and pairwise penalties look like for a well-behaved
 tracklet, and how a drifting box lights up the pairwise term.
 """
+import numpy as np
+
 from crftrack import Box, FeatureParams, FrameContext, HypothesisWindow
-from crftrack import (aspect_ratio_change, binary_feature, boundary_flag,
-                      height_change_rate, unary_feature, velocity_change)
+from crftrack import (aspect_ratio_change, boundary_flag, height_change_rate,
+                      keep_keep_penalties, unary_feature, velocity_change)
 
 ctx = FrameContext(image_width=1920, image_height=1080, frame_rate=5.0)
 params = FeatureParams()  # published values: alpha1=1.05, alpha2=1.2, beta=10.8
@@ -37,12 +39,12 @@ print("  velocity change:", velocity_change(drifter, ctx))
 print("  unary penalty  : keep =", round(unary_feature(drifter, 1, params), 4),
       " inactivate =", round(unary_feature(drifter, 0, params), 4))
 
-# The pairwise penalty only exists for the keep-keep label pair, and it
-# compares velocity changes between tracklets: camera motion cancels out.
-print("\npairwise penalty against the calm tracklet")
-for labels in ((0, 0), (0, 1), (1, 0), (1, 1)):
-    value = binary_feature(drifter, calm, labels, params, ctx)
-    print(f"  labels {labels}: {round(value, 3)}")
+# The pairwise penalty only exists for the keep-keep label pair: the other
+# label pairs cost 0. It compares velocity changes between tracklets, so
+# camera motion cancels out. keep_keep_penalties takes the pairs as index
+# arrays into the windows; here there is one pair, (drifter, calm).
+value = keep_keep_penalties((drifter, calm), np.array([0]), np.array([1]), params, ctx)[0]
+print("\nkeep-keep penalty against the calm tracklet:", round(value, 3))
 
 # Boxes that poke outside the image switch the height term off (the boundary
 # flag), because a clipped box corrupts the height measurement.

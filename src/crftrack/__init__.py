@@ -8,13 +8,12 @@ File formats and the command line live in io and cli.
 """
 
 from .crf_model import (FrameAssembly, ModelParams, assemble_frame_graph, decide_frame,
-                        decide_inactivation, default_params, labeling_energy,
-                        load_params, save_params)
+                        decide_inactivation, default_params, load_params, save_params)
 from .factor_graph import (BpConfig, FactorGraph, InferenceResult, exact_inference, infer,
                            max_product, sum_product)
 from .features import (Box, FeatureParams, FrameContext, HypothesisWindow,
-                       aspect_ratio_change, binary_feature, boundary_flag,
-                       height_change_rate, unary_feature, velocity_change)
+                       aspect_ratio_change, boundary_flag, height_change_rate,
+                       keep_keep_penalties, unary_feature, velocity_change)
 from .io import TrackFile, TrackRecord, parse_mot, write_mot
 from .metrics import EvalReport, clear_mot, evaluate, idf1, iou, match_frame
 from .tracker import (DriftEvent, FrameResult, ScenarioSpec, TrackerState,

@@ -173,18 +173,6 @@ def decide_inactivation(windows, params: ModelParams, ctx: FrameContext,
     return {tid: int(kind in ACTIVE_KINDS) for tid, kind in kinds.items()}
 
 
-def labeling_energy(assembly: FrameAssembly, labels: dict[int, int]) -> float:
-    """Total energy of a labeling of the CRF nodes; exp(-E)/Z is its probability."""
-    bad = [tid for tid in assembly.node_map if labels.get(tid) not in (0, 1)]
-    if bad:
-        raise ValidationError(f"labeling needs label 0 or 1 for CRF node of tracklet {bad[0]}")
-    y = np.array([labels[tid] for tid in assembly.node_map], dtype=np.intp)
-    graph = assembly.graph
-    i, j = graph.ends.T
-    return float(graph.unary[np.arange(len(y)), y].sum()
-                 + graph.tables[np.arange(len(i)), y[i], y[j]].sum())
-
-
 # --------------------------------------------------------------------------
 # Parameter files: flat key=value text. The keys are the fields of
 # ModelParams (its `features` excepted), FeatureParams and BpConfig, and each

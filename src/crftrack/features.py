@@ -5,9 +5,9 @@ per-frame CRF. Rates are expressed per second by scaling frame differences
 with the sequence frame rate, so sequences with different frame rates are
 comparable.
 
-`keep_keep_penalties` evaluates the pairwise feature of many pairs by
-broadcasting the per-window helpers' results; `binary_feature` is its
-two-window case.
+`keep_keep_penalties` is the pairwise feature: the penalty of jointly
+keeping two tracklets, for many pairs at once, by broadcasting the
+per-window helpers' results. Every other label pair costs 0.
 """
 
 from __future__ import annotations
@@ -209,16 +209,3 @@ def keep_keep_penalties(windows, i, j, params: FeatureParams,
     kappa = (inside[i] * inside[j]) == 1.0
     value[kappa] += params.beta * np.abs(dl[i[kappa]] - dl[j[kappa]])
     return value
-
-
-def binary_feature(win_i: HypothesisWindow, win_j: HypothesisWindow,
-                   label_pair: tuple[int, int], params: FeatureParams,
-                   ctx: FrameContext) -> float:
-    """Penalty for jointly keeping two tracklets whose kinematics disagree.
-
-    Zero unless both labels are 1; otherwise keep_keep_penalties of the pair.
-    """
-    if label_pair != (1, 1):
-        return 0.0
-    return float(keep_keep_penalties((win_i, win_j), np.array([0]), np.array([1]),
-                                     params, ctx)[0])

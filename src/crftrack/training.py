@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +29,10 @@ from .io import TrackFile, _decode_json, frame_from_json, frame_to_json
 from .metrics import iou
 
 OWNER_IOU = 0.5
+
+# A sample's feature tables depend on every ModelParams field but the weights.
+_table_key = operator.attrgetter(*(f.name for f in fields(ModelParams)
+                                   if f.name not in ("theta_u", "theta_b")))
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,11 @@ class TrainingSample:
         return 0 in self.gold.values()
 
     def tables(self, params: ModelParams):
-        """(Phi, Phi[gold]), cached per feature settings.
+        """(Phi, Phi[gold]), cached per setting of every ModelParams field but the weights.
 
         Row m of Phi is (phi_u, phi_b) of the labeling whose bit v is node v's label.
         """
-        key = (params.features, params.node_budget, params.pre_threshold,
-               params.short_threshold)
+        key = _table_key(params)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -152,10 +156,16 @@ def sgd_train(samples, init: ModelParams, config: TrainConfig, bp=None) -> Train
 def finite_diff_check(params: ModelParams, sample: TrainingSample, h: float) -> float:
     """Max relative error of the analytic gradient vs centered differences.
 
-    A step whose perturbed energies overflow float range raises NumericalError.
+    A step too small to move a weight (theta +- h rounds back to theta) raises
+    ValidationError; one whose perturbed energies overflow float range raises
+    NumericalError.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValidationError(f"step h must be finite and > 0, got {h!r}")
+    for theta in (params.theta_u, params.theta_b):
+        if theta + h == theta or theta - h == theta:
+            raise ValidationError(f"step h={h!r} is too small to move the weight {theta!r}: "
+                                  f"theta +- h rounds back to theta")
     errors = []
     # Overflow in the energies shows as a non-finite gradient or difference.
     with np.errstate(all="ignore"):

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import reference_enumeration
 from crftrack.crf_model import (ModelParams, assemble_frame_graph, compute_feature_tables,
-                                decide_inactivation, default_params, labeling_energy,
-                                load_params, pair_ends, save_params)
+                                decide_inactivation, default_params, load_params, pair_ends,
+                                save_params)
 from crftrack.errors import ValidationError
-from crftrack.factor_graph import BpConfig, exact_inference
+from crftrack.factor_graph import BpConfig, labeling_energies
 from crftrack.features import (Box, FeatureParams, FrameContext, HypothesisWindow,
                                boundary_flag, height_change_rate, velocity_change)
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
@@ -186,13 +187,15 @@ def with_tight_budget(params, budget):
 
 
 class TestLabelingEnergy:
-    def test_all_dummy_graph_is_free(self, params):
+    # Entry m of labeling_energies' raveled grid is the labeling whose bit v
+    # is the label of node v, in node_map order.
+    def test_empty_graph_is_free(self, params):
         asm = assemble_frame_graph([], params, CTX)
-        assert labeling_energy(asm, {}) == 0.0
+        assert labeling_energies(asm.graph).tolist() == [[0.0]]
 
     def test_single_node_hand_value(self, params):
         asm = assemble_frame_graph([steady_window(1, 0.9)], params, CTX)
-        assert labeling_energy(asm, {1: 1}) == pytest.approx(0.98 * 0.1)
+        assert labeling_energies(asm.graph).ravel()[1] == pytest.approx(0.98 * 0.1)
 
     def test_matches_exact_joint_probability(self, params, rng):
         windows = [steady_window(tid, float(rng.uniform(0.55, 0.99)),
@@ -200,19 +203,13 @@ class TestLabelingEnergy:
                    for tid in range(1, 4)]
         tight = with_tight_budget(params, 3)
         asm = assemble_frame_graph(windows, tight, CTX)
-        result = exact_inference(asm.graph)
-        ids = asm.node_map
-        # exp(-energy)/Z is the joint probability; it must normalize over all
-        # labelings and reproduce the exact node marginals when summed out.
-        probs = {}
-        for m in range(8):
+        energies = labeling_energies(asm.graph).ravel()
+        # exp(-energy)/Z is the joint probability of the independent
+        # enumeration, for every labeling.
+        _, log_z, probs = reference_enumeration(asm.graph)
+        for m, energy in enumerate(energies):
             labeling = tuple((m >> v) & 1 for v in range(3))
-            energy = labeling_energy(asm, dict(zip(ids, labeling)))
-            probs[labeling] = math.exp(-energy - result.log_partition)
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-        for v in range(3):
-            p1 = sum(p for labeling, p in probs.items() if labeling[v] == 1)
-            assert p1 == pytest.approx(result.node_marginals[v, 1], abs=1e-12)
+            assert math.exp(-energy - log_z) == pytest.approx(probs[labeling], abs=1e-12)
 
     def test_every_labeling_of_a_scenario_frame(self, scenario_frames):
         params, frames = scenario_frames
@@ -221,20 +218,11 @@ class TestLabelingEnergy:
                   key=lambda a: a.graph.num_vars)
         n = asm.graph.num_vars
         assert n >= 6 and len(asm.graph.tables) == n * (n - 1) // 2
-        result = exact_inference(asm.graph)
-        energies = np.array([
-            labeling_energy(asm, {tid: (m >> v) & 1 for v, tid in enumerate(asm.node_map)})
-            for m in range(1 << n)])
-        assert np.exp(-energies - result.log_partition).sum() == pytest.approx(1.0, abs=1e-12)
+        energies = labeling_energies(asm.graph).ravel()
+        _, log_z, probs = reference_enumeration(asm.graph)
+        assert np.exp(-energies - log_z).sum() == pytest.approx(1.0, abs=1e-12)
         best = int(np.argmin(energies))
-        assert [(best >> v) & 1 for v in range(n)] == result.map_labels.tolist()
-
-    def test_missing_label_rejected(self, params):
-        asm = assemble_frame_graph([steady_window(1, 0.9)], params, CTX)
-        with pytest.raises(ValidationError):
-            labeling_energy(asm, {})
-        with pytest.raises(ValidationError):
-            labeling_energy(asm, {1: 2})
+        assert tuple((best >> v) & 1 for v in range(n)) == max(probs, key=probs.get)
 
 
 class TestParameterFiles:

@@ -3,8 +3,8 @@ import pytest
 
 from crftrack.errors import InsufficientHistoryError, ValidationError
 from crftrack.features import (Box, FeatureParams, FrameContext, HypothesisWindow,
-                               aspect_ratio_change, binary_feature, boundary_flag,
-                               height_change_rate, unary_feature, velocity_change)
+                               aspect_ratio_change, boundary_flag, height_change_rate,
+                               keep_keep_penalties, unary_feature, velocity_change)
 
 CTX = FrameContext(1920, 1080, 30.0)
 PARAMS = FeatureParams()
@@ -17,6 +17,11 @@ def window_from_boxes(boxes, score=0.9, tid=1):
 def window_from_centers(centers, w=10.0, h=20.0, score=0.9, tid=1):
     return window_from_boxes([(cx - w / 2, cy - h / 2, w, h) for cx, cy in centers],
                              score=score, tid=tid)
+
+
+def keep_keep(a, b, ctx=CTX):
+    """keep_keep_penalties of the one pair (a, b)."""
+    return keep_keep_penalties((a, b), np.array([0]), np.array([1]), PARAMS, ctx)[0]
 
 
 class TestAspectRatioChange:
@@ -123,25 +128,21 @@ class TestUnaryFeature:
 
 
 class TestBinaryFeature:
+    # The paper's binary feature is keep_keep_penalties; other label pairs cost 0.
     def calm(self, tid, x0=0.0, h=100.0):
         centers = [(x0 + t, 50.0) for t in range(3)]
         return window_from_centers(centers, w=0.4 * h, h=h, tid=tid)
 
-    def test_off_diagonal_labels_free(self):
-        a, b = self.calm(1), self.calm(2, x0=300)
-        for pair in ((0, 0), (0, 1), (1, 0)):
-            assert binary_feature(a, b, pair, PARAMS, CTX) == 0.0
-
     def test_identical_kinematics_free(self):
         a, b = self.calm(1), self.calm(2, x0=300)
-        assert binary_feature(a, b, (1, 1), PARAMS, CTX) == pytest.approx(0.0, abs=1e-9)
+        assert keep_keep(a, b) == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_value(self):
         ctx = FrameContext(1920, 1080, 2.0)
         # i accelerates along x: centers 0, 1, 3 give a velocity change of 4.
         win_i = window_from_centers([(100, 500), (101, 500), (103, 500)], w=40, h=100, tid=1)
         win_j = window_from_centers([(300, 500), (301, 500), (302, 500)], w=40, h=100, tid=2)
-        value = binary_feature(win_i, win_j, (1, 1), PARAMS, ctx)
+        value = keep_keep(win_i, win_j, ctx=ctx)
         assert value == pytest.approx((1.0 / 200.0) * 16.0, abs=1e-9)
 
     def test_symmetry(self, rng):
@@ -150,9 +151,7 @@ class TestBinaryFeature:
             c2 = [(rng.uniform(0, 500), rng.uniform(0, 500)) for _ in range(3)]
             a = window_from_centers(c1, h=rng.uniform(50, 150), tid=1)
             b = window_from_centers(c2, h=rng.uniform(50, 150), tid=2)
-            for pair in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                assert binary_feature(a, b, pair, PARAMS, CTX) \
-                    == pytest.approx(binary_feature(b, a, pair[::-1], PARAMS, CTX), abs=1e-12)
+            assert keep_keep(a, b) == pytest.approx(keep_keep(b, a), abs=1e-12)
 
     def test_translation_invariance(self, rng):
         # A constant per-frame offset on every box (camera pan) changes nothing.
@@ -162,8 +161,8 @@ class TestBinaryFeature:
         a, b = window_from_centers(c1, tid=1), window_from_centers(c2, tid=2)
         a_p = window_from_centers([(x + dx, y + dy) for (x, y), (dx, dy) in zip(c1, pan)], tid=1)
         b_p = window_from_centers([(x + dx, y + dy) for (x, y), (dx, dy) in zip(c2, pan)], tid=2)
-        base = binary_feature(a, b, (1, 1), PARAMS, CTX)
-        panned = binary_feature(a_p, b_p, (1, 1), PARAMS, CTX)
+        base = keep_keep(a, b)
+        panned = keep_keep(a_p, b_p)
         assert panned == pytest.approx(base, abs=1e-9)
 
     def test_relative_motion_consistency(self):
@@ -173,7 +172,7 @@ class TestBinaryFeature:
         c2 = [(100, 50), (103, 51), (108, 53)]  # (3,1), (5,2)
         a = window_from_centers(c1, h=80, tid=1)
         b = window_from_centers(c2, h=80, tid=2)
-        assert binary_feature(a, b, (1, 1), PARAMS, CTX) == pytest.approx(0.0, abs=1e-9)
+        assert keep_keep(a, b) == pytest.approx(0.0, abs=1e-9)
 
     def test_boundary_gates_height_term(self):
         ctx = FrameContext(200, 200, 1.0)
@@ -182,10 +181,10 @@ class TestBinaryFeature:
         boxes_j = [(100, 10, 20, 50), (100, 10, 20, 50), (100, 10, 20, 50)]
         win_i = window_from_boxes(boxes_i, tid=1)
         win_j = window_from_boxes(boxes_j, tid=2)
-        gated = binary_feature(win_i, win_j, (1, 1), PARAMS, ctx)
+        gated = keep_keep(win_i, win_j, ctx=ctx)
         boxes_i_inside = [(5, 10, 20, 50), (5, 10, 20, 55), (5, 10, 20, 65)]
         win_i_in = window_from_boxes(boxes_i_inside, tid=1)
-        ungated = binary_feature(win_i_in, win_j, (1, 1), PARAMS, ctx)
+        ungated = keep_keep(win_i_in, win_j, ctx=ctx)
         assert ungated > gated
 
     def test_non_negative(self, rng):
@@ -194,7 +193,7 @@ class TestBinaryFeature:
             c2 = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(3)]
             a = window_from_centers(c1, h=rng.uniform(40, 200), tid=1)
             b = window_from_centers(c2, h=rng.uniform(40, 200), tid=2)
-            assert binary_feature(a, b, (1, 1), PARAMS, CTX) >= 0.0
+            assert keep_keep(a, b) >= 0.0
 
 
 class TestTypes:

@@ -258,7 +258,9 @@ class TestCli:
         assert "warning" not in captured.err
 
     @pytest.mark.parametrize("h, code, words", [("inf", 2, "step h must be finite"),
-                                                ("1e308", 3, "step h=1e+308 is not finite")])
+                                                ("1e308", 3, "step h=1e+308 is not finite"),
+                                                ("5e-324", 2, "step h=5e-324 is too small"),
+                                                ("1e-17", 2, "step h=1e-17 is too small")])
     def test_check_gradients_bad_step_exit_code(self, workdir, capsys, h, code, words):
         # pytest turns any RuntimeWarning into an error, so an overflow warning fails here.
         assert main(train_args(workdir, "0.01")) == 0

@@ -207,6 +207,14 @@ class TestStatisticsEngine:
         labels = [sample.gold[tid] for tid in sorted(sample.gold)]
         assert np.array_equal(phi_gold, phi[sum(y << v for v, y in enumerate(labels))])
 
+    def test_tables_cached_per_setting_other_than_weights(self, table_params):
+        sample = single_node_sample()
+        first = sample.tables(table_params)
+        assert sample.tables(with_weights(table_params, 2.0, 0.5)) is first
+        features = dataclasses.replace(table_params.features, beta=1.0)
+        assert sample.tables(dataclasses.replace(table_params, features=features)) is not first
+        assert len(sample._cache) == 2
+
     def test_memory_bound_at_capacity(self, table_params):
         params = dataclasses.replace(table_params, node_budget=20)
         sample = crowded_sample(20)
@@ -239,6 +247,10 @@ class TestFiniteDiffCheck:
     def test_rejects_bad_step(self, table_params):
         for h in (0.0, -1e-5, math.inf, math.nan):
             with pytest.raises(ValidationError, match="step h must be finite and > 0"):
+                finite_diff_check(table_params, single_node_sample(), h=h)
+        # Below the spacing of doubles at the weights, theta +- h == theta.
+        for h in (5e-324, 1e-17):
+            with pytest.raises(ValidationError, match=f"step h={h!r} is too small"):
                 finite_diff_check(table_params, single_node_sample(), h=h)
 
 
