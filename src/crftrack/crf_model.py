@@ -15,14 +15,16 @@ bypasses to decision kinds.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, NumericalError, ValidationError
 from .factor_graph import BpConfig, FactorGraph, InferenceResult, infer
-from .features import FeatureParams, FrameContext, keep_keep_penalties, unary_feature
+from .features import (FeatureParams, FrameContext, is_integer, keep_keep_penalties,
+                       unary_feature)
 
 # Windows with fewer boxes than this (tracklets younger than this many
 # frames) skip the CRF: the kinematic features need three boxes.
@@ -49,10 +51,10 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("theta_u", "theta_b"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        if self.node_budget < 1:
-            raise ValidationError("node_budget must be >= 1")
+        if not (is_integer(self.node_budget) and self.node_budget >= 1):
+            raise ValidationError(f"node_budget must be an integer >= 1, got {self.node_budget!r}")
         for name in ("pre_threshold", "short_threshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -120,6 +122,7 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
 
     Returns (nodes, unary_phi, pair_phi, bypass_active, bypass_inactive);
     unary_phi has shape (n, 2) and pair_phi (P, 2, 2), for the pairs of pair_ends(n).
+    Raises NumericalError naming the tracklets of a feature that overflowed.
     """
     nodes, bypass_active, bypass_inactive = split_frame(windows, params)
     fp = params.features
@@ -127,7 +130,15 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
                          dtype=float).reshape(-1, 2)
     i, j = pair_ends(len(nodes)).T
     pair_phi = np.zeros((len(i), 2, 2))
-    pair_phi[:, 1, 1] = keep_keep_penalties(nodes, i, j, fp, ctx)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        pair_phi[:, 1, 1] = keep_keep_penalties(nodes, i, j, fp, ctx)
+    if not np.isfinite(unary_phi).all():
+        v = np.argmin(np.isfinite(unary_phi).all(axis=1))
+        raise NumericalError(f"non-finite unary feature of tracklet {nodes[v].tracklet_id}")
+    if not np.isfinite(pair_phi).all():
+        k = np.argmin(np.isfinite(pair_phi[:, 1, 1]))
+        raise NumericalError(f"non-finite pairwise feature of tracklets "
+                             f"{nodes[i[k]].tracklet_id} and {nodes[j[k]].tracklet_id}")
 
     return nodes, unary_phi, pair_phi, bypass_active, bypass_inactive
 

@@ -204,6 +204,8 @@ def keep_keep_penalties(windows, i, j, params: FeatureParams,
     tau = 1.0 / (height[i] + height[j])
     # float_power squares with C pow, like Python's ** on floats; numpy's **
     # (x * x) differs from it in the last bit for about one value in 1000.
+    # C pow keeps the pair tables bit-identical to their earlier values, so
+    # the decisions made with the published weights stay the same.
     value = (tau * np.float_power(dvx[i] - dvx[j], 2)
              + tau * np.float_power(dvy[i] - dvy[j], 2))
     kappa = (inside[i] * inside[j]) == 1.0

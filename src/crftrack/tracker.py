@@ -254,15 +254,11 @@ class ScenarioSpec:
 
     def pan_offsets(self) -> np.ndarray:
         """Cumulative pan offset per frame, shape (num_frames + 1, 2); frame 1 is zero."""
-        segments = self.pan_segments()
-        offsets = np.zeros((self.num_frames + 1, 2))
-        rate = (0.0, 0.0)
-        for t in range(2, self.num_frames + 1):
-            for start, seg_rate in segments:
-                if start <= t:
-                    rate = seg_rate
-            offsets[t] = offsets[t - 1] + rate
-        return offsets
+        rates = np.zeros((self.num_frames + 1, 2))
+        for start, rate in self.pan_segments():
+            rates[max(start, 2):] = rate
+        with np.errstate(over="ignore"):  # validate rejects the infinite offsets
+            return np.cumsum(rates, axis=0)
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
@@ -296,6 +292,7 @@ def _lerp(a, b, frac):
     return a + (b - a) * frac
 
 
+@np.errstate(over="ignore")  # make_box rejects every non-finite box
 def generate_scenario(spec: ScenarioSpec):
     """Build (hypotheses, ground_truth, ctx) for a scenario, fully seeded.
 
@@ -325,33 +322,30 @@ def generate_scenario(spec: ScenarioSpec):
 
     pan = spec.pan_offsets()
 
-    # Per-target base trajectories: center(t) = anchor + velocity * (t - anchor_frame).
+    # Base trajectories: an anchor (frame, pos, vel) puts the center at pos + vel * (t - frame).
     anchors = [(1, np.array([start_x[k], band_y[k]]), np.array([vel_x[k], vel_y[k]]))
                for k in range(spec.num_targets)]
-
-    event_of_victim = {}
-    for e_idx, ev in enumerate(spec.drift_events):
+    drift_frame = {}
+    for ev in spec.drift_events:
         f = ev.frame
-        y_ref = band_y[ev.victim]
-        victim_at_f = np.array([12.0, y_ref])
+        victim_at_f = np.array([12.0, band_y[ev.victim]])
         anchors[ev.victim] = (f, victim_at_f, np.array([-EXIT_SPEED, 0.0]))
         neighbor_at_f = victim_at_f + np.array([NEIGHBOR_GAP, 8.0])
         nb_speed = neighbor_at_f[0] / RIDE_FRAMES
         anchors[ev.neighbor] = (f, neighbor_at_f, np.array([-nb_speed, 0.0]))
-        event_of_victim[ev.victim] = e_idx
+        drift_frame[ev.victim] = f
 
-    def base_center(k, t):
-        anchor_frame, pos, vel = anchors[k]
+    def center_at(anchor, t):
+        anchor_frame, pos, vel = anchor
         return pos + vel * (t - anchor_frame)
-
-    def image_center(k, t):
-        return base_center(k, t) + pan[t]
 
     def in_image(center):
         return (0.0 <= center[0] <= spec.image_width
                 and 0.0 <= center[1] <= spec.image_height)
 
     def make_box(center, w, h):
+        if not (math.isfinite(center[0]) and math.isfinite(center[1])):
+            raise ValidationError("noise_std and camera_pan must keep every box finite")
         return (round_half_up(center[0] - w / 2.0, 2), round_half_up(center[1] - h / 2.0, 2),
                 round_half_up(w, 2), round_half_up(h, 2))
 
@@ -361,65 +355,53 @@ def generate_scenario(spec: ScenarioSpec):
     def clip_score(value, lo=0.9):
         return round_half_up(min(1.0, max(lo, value)), 4)
 
-    # Ground truth and plain hypothesis rows for the original targets.
-    last_visible = {}
-    for k in range(spec.num_targets):
-        tid = k + 1
-        ev_idx = event_of_victim.get(k)
-        for t in range(1, frames + 1):
-            center = image_center(k, t)
+    # Walker k's rows while it is in the image, hypotheses before hyp_until;
+    # returns its last visible frame, or None.
+    def walk(k, anchor, first_frame, hyp_until):
+        last_visible = None
+        for t in range(first_frame, frames + 1):
+            center = center_at(anchor, t) + pan[t]
             if not in_image(center):
                 continue
-            last_visible[k] = t
-            box = make_box(center, widths[k], heights[k])
-            gt_rows.append(TrackRecord(t, tid, *box, 1.0))
-            if ev_idx is not None and t >= spec.drift_events[ev_idx].frame:
-                continue  # the victim's hypothesis is rewritten below
-            hyp_center = center + jitter[k, t]
-            hyp_box = make_box(hyp_center, widths[k], heights[k])
-            hyp_rows.append(TrackRecord(t, tid, *hyp_box,
-                                        clip_score(0.98 + score_noise[k, t])))
+            last_visible = t
+            gt_rows.append(TrackRecord(t, k + 1, *make_box(center, widths[k], heights[k]), 1.0))
+            if t < hyp_until:
+                hyp_box = make_box(center + jitter[k, t], widths[k], heights[k])
+                hyp_rows.append(TrackRecord(t, k + 1, *hyp_box,
+                                            clip_score(0.98 + score_noise[k, t])))
+        return last_visible
 
-    # Drift events: victim's hypothesis timeline plus the later entrant.
+    # A victim's hypothesis rows from its drift frame on are rewritten below.
+    last_visible = [walk(k, anchors[k], 1, drift_frame.get(k, frames + 1))
+                    for k in range(spec.num_targets)]
+
+    # Drift events: the victim's hypothesis timeline, then an entrant walking
+    # in through the neighbor's exit point.
     for e_idx, ev in enumerate(spec.drift_events):
         f = ev.frame
         vic, nb = ev.victim, ev.neighbor
-        vic_id = vic + 1
-        spawn_idx = spec.num_targets + e_idx
-        spawn_id = spawn_idx + 1
-
-        nb_exit = last_visible.get(nb, f + RIDE_FRAMES)
-        park_base = base_center(nb, nb_exit)
+        nb_exit = last_visible[nb] or f + RIDE_FRAMES
+        park_base = center_at(anchors[nb], nb_exit)
         for t in range(f, frames + 1):
             if t < f + 2:
                 frac = (t - f + 1) / 3.0
-                center = _lerp(base_center(vic, t), base_center(nb, t), frac) + pan[t]
+                center = _lerp(center_at(anchors[vic], t), center_at(anchors[nb], t),
+                               frac) + pan[t]
                 w = _lerp(widths[vic], widths[nb], frac)
                 h = _lerp(heights[vic], heights[nb], frac)
             elif t <= nb_exit:
-                center = base_center(nb, t) + pan[t]
+                center = center_at(anchors[nb], t) + pan[t]
                 w, h = widths[nb], heights[nb]
             else:
                 center = park_base + pan[t]
                 w, h = widths[nb], heights[nb]
-            hyp_center = center + jitter[vic, t]
-            box = make_box(hyp_center, w, h)
-            hyp_rows.append(TrackRecord(t, vic_id, *box,
+            box = make_box(center + jitter[vic, t], w, h)
+            hyp_rows.append(TrackRecord(t, vic + 1, *box,
                                         clip_score(0.92 + score_noise[vic, t], lo=0.55)))
 
-        # Entrant walking in through the neighbor's exit point.
         g = nb_exit + ENTRANT_DELAY
-        spawn_anchor = park_base + np.array([1.0, 0.0])
-        for t in range(g, frames + 1):
-            center = spawn_anchor + np.array([ENTRANT_SPEED, 0.0]) * (t - g) + pan[t]
-            if not in_image(center):
-                continue
-            box = make_box(center, widths[spawn_idx], heights[spawn_idx])
-            gt_rows.append(TrackRecord(t, spawn_id, *box, 1.0))
-            hyp_center = center + jitter[spawn_idx, t]
-            hyp_box = make_box(hyp_center, widths[spawn_idx], heights[spawn_idx])
-            hyp_rows.append(TrackRecord(t, spawn_id, *hyp_box,
-                                        clip_score(0.98 + score_noise[spawn_idx, t])))
+        walk(spec.num_targets + e_idx, (g, park_base + np.array([1.0, 0.0]),
+                                        np.array([ENTRANT_SPEED, 0.0])), g, frames + 1)
 
     gt_rows.sort(key=lambda r: (r.frame, r.track_id))
     hyp_rows.sort(key=lambda r: (r.frame, r.track_id))

@@ -250,6 +250,19 @@ class TestParameterFiles:
         assert loaded == params
         assert loaded_bp == bp
 
+    def test_model_params_validation(self):
+        for value in (0, 2.5, True, "5"):
+            with pytest.raises(ValidationError, match="node_budget must be an integer"):
+                ModelParams(node_budget=value)
+        assert ModelParams(node_budget=np.int64(3)).node_budget == 3
+        for name in ("theta_u", "theta_b"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                    ModelParams(**{name: value})
+        for name in ("pre_threshold", "short_threshold"):
+            with pytest.raises(ValidationError, match=f"{name} must lie in"):
+                ModelParams(**{name: 1.5})
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("theta_u=1.0\nbogus=3\n")

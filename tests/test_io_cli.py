@@ -590,6 +590,58 @@ class TestCli:
         ctx, _ = parse_seqinfo(workdir / "seqinfo.txt")
         assert ctx.image_width == 1e300
 
+    @pytest.mark.parametrize("field, message", [
+        # Finite fields whose generated jitter or pan overflows.
+        ({"noise_std": 1e308}, "noise_std and camera_pan must keep every box finite"),
+        ({"noise_std": 5e307, "camera_pan": [2.5e306, 0.0]},
+         "noise_std and camera_pan must keep every box finite"),
+        ({"camera_pan": [1e308, 0.0]}, "camera_pan must keep every pan offset finite")],
+        ids=["noise", "noise-and-pan", "pan"])
+    def test_overflowing_spec_exit_code(self, workdir, capsys, field, message):
+        (workdir / "spec.json").write_text(json.dumps({**SPEC_JSON, **field}))
+        assert main(gen_args(workdir)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("frame_rate, boxes, message", [
+        (1e200, [[100, 100, 40, 100], [104, 100, 40, 100], [110, 100, 40, 100]],
+         "pairwise feature of tracklets 1 and 2"),
+        (30, [[1e307, 100, 40, 100], [-1e307, 100, 40, 100], [1e307, 100, 40, 100]],
+         "pairwise feature of tracklets 1 and 2"),
+        (30, [[100, 100, 40, 1e-300], [104, 100, 40, 1e-300], [110, 100, 40, 1e300]],
+         "pairwise feature of tracklets 1 and 2"),
+        (30, [[100, 100, 1e300, 1e-300], [100, 100, 1, 1], [100, 100, 1e300, 1e-300]],
+         "unary feature of tracklet 1")],
+        ids=["frame-rate", "huge-left", "height-jump", "aspect-jump"])
+    def test_infer_feature_overflow_exit_code(self, workdir, capsys, frame_rate, boxes, message):
+        # Well-formed frames whose features overflow are numerical errors.
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        frame = {"image_width": 1920, "image_height": 1080, "frame_rate": frame_rate,
+                 "windows": [{"id": 1, "boxes": boxes, "score": 0.9},
+                             {"id": 2, "boxes": [[500, 100, 40, 100], [502, 100, 40, 100],
+                                                 [560, 100, 40, 100]], "score": 0.8}]}
+        (workdir / "frame.json").write_text(json.dumps(frame))
+        for inference in ("exact", "loopy-bp"):
+            assert main(["infer", "--frame-json", str(workdir / "frame.json"),
+                         "--params", str(workdir / "params.txt"),
+                         "--inference", inference]) == 3
+            assert capsys.readouterr().err == f"error: non-finite {message}\n"
+
+    def test_track_feature_overflow_exit_code(self, workdir, capsys):
+        (workdir / "hyp.txt").write_text("".join(
+            f"{t},1,{x},20,30,60,0.9,-1,-1,-1\n{t},2,{100 + t},20,30,60,0.8,-1,-1,-1\n"
+            for t, x in enumerate(["1e307", "-1e307", "1e307"], start=1)))
+        (workdir / "seqinfo.txt").write_text(
+            "imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=3\n")
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        assert main(["track", "--hyp", str(workdir / "hyp.txt"),
+                     "--seqinfo", str(workdir / "seqinfo.txt"),
+                     "--params", str(workdir / "params.txt"), "--mode", "crf",
+                     "--out", str(workdir / "out.txt")]) == 3
+        assert capsys.readouterr().err == \
+            "error: non-finite pairwise feature of tracklets 1 and 2\n"
+
     @pytest.mark.parametrize("command", ["infer", "gen", "check-gradients"])
     def test_deeply_nested_json_exit_code(self, workdir, capsys, command):
         from crftrack.crf_model import default_params, save_params
