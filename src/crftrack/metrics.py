@@ -3,24 +3,36 @@
 Per-frame correspondence uses an IoU floor of 0.5: existing matches persist
 while they stay above the floor, the rest are matched greedily by descending
 IoU. Identity metrics come from a global trajectory-level assignment that
-maximizes the number of per-frame box agreements.
+maximizes the number of per-frame box agreements. Both metrics fold over one
+IoU pass per sequence: numpy computes the IoU of every same-frame
+(ground-truth, hypothesis) pair, and only the pairs at or above the floor,
+the only ones that can affect either metric, reach Python.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .features import Box
 from .io import TrackFile
 
 IOU_FLOOR = 0.5
 
+# Pairs whose IoUs one numpy call computes at a time. It bounds the pass's
+# arrays to a few hundred kB however many boxes a sequence holds.
+_CHUNK_PAIRS = 4096
+
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes."""
+    """Intersection over union of two boxes.
+
+    Raises NumericalError when the boxes overlap but their IoU is not finite:
+    areas that underflow to 0 or edges that overflow to infinity.
+    """
     x1 = max(a.left, b.left)
     y1 = max(a.top, b.top)
     x2 = min(a.left + a.width, b.left + b.width)
@@ -29,7 +41,10 @@ def iou(a: Box, b: Box) -> float:
         return 0.0
     inter = (x2 - x1) * (y2 - y1)
     union = a.width * a.height + b.width * b.height - inter
-    return inter / union
+    value = inter / union if union else math.nan
+    if not math.isfinite(value):
+        raise NumericalError(f"IoU of {a} and {b} is not finite")
+    return value
 
 
 @dataclass
@@ -52,6 +67,27 @@ class EvalReport:
     frag: int = 0
 
 
+def _match(hits, prev_matches):
+    """GT id -> hypothesis id for one frame, from its hits.
+
+    hits are the frame's (IoU, GT id, hypothesis id) triples with IoU >=
+    IOU_FLOOR. Pairs that prev_matches holds persist first, in GT id order;
+    the other hits follow greedily by descending IoU, ties by GT id and then
+    hypothesis id. Each id is matched at most once.
+    """
+    def order(hit):
+        value, gid, hid = hit
+        return (0, gid) if prev_matches.get(gid) == hid else (1, -value, gid, hid)
+
+    matches: dict[int, int] = {}
+    used = set()
+    for _, gid, hid in sorted(hits, key=order):
+        if gid not in matches and hid not in used:
+            matches[gid] = hid
+            used.add(hid)
+    return matches
+
+
 def match_frame(gt_boxes, hyp_boxes, prev_matches):
     """Correspond one frame's boxes.
 
@@ -59,52 +95,93 @@ def match_frame(gt_boxes, hyp_boxes, prev_matches):
     id to the hypothesis id it was last matched with. Returns
     (matches, n_fp, n_fn) where matches maps GT id to hypothesis id.
     """
-    hyp_by_id = dict(hyp_boxes)
-    matches: dict[int, int] = {}
-    used = set()
-
-    for gid, gbox in gt_boxes:
-        hid = prev_matches.get(gid)
-        if hid is not None and hid in hyp_by_id and hid not in used:
-            if iou(gbox, hyp_by_id[hid]) >= IOU_FLOOR:
-                matches[gid] = hid
-                used.add(hid)
-
-    candidates = []
-    for gid, gbox in gt_boxes:
-        if gid in matches:
-            continue
-        for hid, hbox in hyp_boxes:
-            if hid in used:
-                continue
-            v = iou(gbox, hbox)
-            if v >= IOU_FLOOR:
-                candidates.append((v, gid, hid))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-    for v, gid, hid in candidates:
-        if gid not in matches and hid not in used:
-            matches[gid] = hid
-            used.add(hid)
-
-    n_fn = len(gt_boxes) - len(matches)
-    n_fp = len(hyp_boxes) - len(matches)
-    return matches, n_fp, n_fn
+    hits = [(value, gid, hid) for gid, gbox in gt_boxes for hid, hbox in hyp_boxes
+            if (value := iou(gbox, hbox)) >= IOU_FLOOR]
+    matches = _match(hits, prev_matches)
+    return matches, len(hyp_boxes) - len(matches), len(gt_boxes) - len(matches)
 
 
-def _frames(gt: TrackFile, hyp: TrackFile):
-    """Yield (frame, GT boxes, hypothesis boxes) for every frame of either file, in order.
+def _columns(track: TrackFile):
+    """A track file's box columns and each frame's span of record rows.
 
-    The boxes are (id, Box) lists in id order, empty where a file has no record.
+    The columns are left, top, right, bottom and area, one entry per record,
+    computed as iou computes them.
     """
-    gt_frames = gt.by_frame()
-    hyp_frames = hyp.by_frame()
-    for f in sorted(gt_frames.keys() | hyp_frames.keys()):
-        yield (f, [(r.track_id, r.box()) for r in gt_frames.get(f, ())],
-               [(r.track_id, r.box()) for r in hyp_frames.get(f, ())])
+    ltwh = np.array([(r.left, r.top, r.width, r.height) for r in track.records],
+                    dtype=float).reshape(-1, 4).T
+    with np.errstate(over="ignore"):
+        columns = np.stack([ltwh[0], ltwh[1], ltwh[0] + ltwh[2], ltwh[1] + ltwh[3],
+                            ltwh[2] * ltwh[3]])
+    spans, start = {}, 0
+    for frame, rows in track.by_frame().items():
+        spans[frame] = (start, start + len(rows))
+        start += len(rows)
+    return columns, spans
+
+
+def _hits(chunk, gt: TrackFile, hyp: TrackFile, gt_columns, hyp_columns):
+    """Each chunk frame's hits, from one numpy pass over all its same-frame pairs.
+
+    chunk lists (frame, GT row span, hypothesis row span). Every step repeats
+    iou's operation on the same operands, so each IoU equals iou's bit for bit.
+    """
+    g0, g1, h0, h1 = np.array([(*g, *h) for _, g, h in chunk], dtype=np.int64).T
+    n_hyp = h1 - h0
+    n_pairs = (g1 - g0) * n_hyp
+    frame = np.repeat(np.arange(len(chunk)), n_pairs)
+    k = np.arange(frame.size) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    q, r = np.divmod(k, n_hyp[frame])
+    gi, hi = g0[frame] + q, h0[frame] + r
+    g, h = gt_columns[:, gi], hyp_columns[:, hi]
+    with np.errstate(all="ignore"):
+        extent = np.minimum(g[2:4], h[2:4]) - np.maximum(g[:2], h[:2])
+        pair = np.flatnonzero((extent[0] > 0) & (extent[1] > 0))
+        inter = extent[0, pair] * extent[1, pair]
+        value = inter / (g[4, pair] + h[4, pair] - inter)
+
+    bad = ~np.isfinite(value)
+    if bad.any():
+        p = pair[np.argmax(bad)]
+        a, b = gt.records[gi[p]], hyp.records[hi[p]]
+        raise NumericalError(f"frame {chunk[frame[p]][0]}: IoU of ground-truth id "
+                             f"{a.track_id} {a.box()} and hypothesis id {b.track_id} "
+                             f"{b.box()} is not finite")
+
+    hit = value >= IOU_FLOOR
+    kept = pair[hit]
+    hits = [[] for _ in chunk]
+    for j, v, a, b in zip(frame[kept].tolist(), value[hit].tolist(),
+                          gi[kept].tolist(), hi[kept].tolist()):
+        hits[j].append((v, gt.records[a].track_id, hyp.records[b].track_id))
+    return hits
+
+
+def _walk(gt: TrackFile, hyp: TrackFile):
+    """Yield (GT ids, hypothesis count, hits) for every frame of either file, in order.
+
+    GT ids are in id order; hits are the frame's (IoU, GT id, hypothesis id)
+    triples with IoU >= IOU_FLOOR, computed chunk by chunk of frames with
+    _hits. Raises NumericalError naming the frame, ids and boxes of an
+    overlapping pair whose IoU is not finite.
+    """
+    gt_columns, gt_spans = _columns(gt)
+    hyp_columns, hyp_spans = _columns(hyp)
+    frames = [(f, gt_spans.get(f, (0, 0)), hyp_spans.get(f, (0, 0)))
+              for f in sorted(gt_spans.keys() | hyp_spans.keys())]
+    start = pairs = 0
+    for end, (_, (g0, g1), (h0, h1)) in enumerate(frames, start=1):
+        pairs += (g1 - g0) * (h1 - h0)
+        if pairs < _CHUNK_PAIRS and end < len(frames):
+            continue
+        chunk = frames[start:end]
+        for (_, (g0, g1), (h0, h1)), hits in zip(
+                chunk, _hits(chunk, gt, hyp, gt_columns, hyp_columns)):
+            yield [r.track_id for r in gt.records[g0:g1]], h1 - h0, hits
+        start, pairs = end, 0
 
 
 def clear_mot(gt: TrackFile, hyp: TrackFile) -> EvalReport:
-    """Fold match_frame over the sequence and compute the CLEAR counters.
+    """Match each frame from its hits and compute the CLEAR counters.
 
     MT counts trajectories covered on strictly more than 80% of their boxes,
     ML those covered on strictly less than 20%. A fragmentation is counted
@@ -120,11 +197,11 @@ def clear_mot(gt: TrackFile, hyp: TrackFile) -> EvalReport:
     observed: dict[int, int] = {}
     fp = fn = ids = frag = 0
 
-    for _, g, h in _frames(gt, hyp):
-        matches, n_fp, n_fn = match_frame(g, h, prev_matches)
-        fp += n_fp
-        fn += n_fn
-        for gid, _ in g:
+    for gids, n_hyp, hits in _walk(gt, hyp):
+        matches = _match(hits, prev_matches)
+        fp += n_hyp - len(matches)
+        fn += len(gids) - len(matches)
+        for gid in gids:
             observed[gid] = observed.get(gid, 0) + 1
             if gid in matches:
                 hid = matches[gid]
@@ -167,11 +244,9 @@ def idf1(gt: TrackFile, hyp: TrackFile) -> EvalReport:
     row = {gid: i for i, gid in enumerate(gids)}
     col = {hid: j for j, hid in enumerate(hids)}
     overlap = np.zeros((len(gids), len(hids)), dtype=int)
-    for _, g, h in _frames(gt, hyp):
-        for gid, gbox in g:
-            for hid, hbox in h:
-                if iou(gbox, hbox) >= IOU_FLOOR:
-                    overlap[row[gid], col[hid]] += 1
+    for _, _, hits in _walk(gt, hyp):
+        for _, gid, hid in hits:
+            overlap[row[gid], col[hid]] += 1
 
     idtp = 0
     if overlap.size:

@@ -408,6 +408,35 @@ class TestCli:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("box", ["0,0,1e-200,1e-200", "1e308,0,1e308,10"])
+    def test_eval_non_finite_iou_exit_code(self, workdir, capsys, box):
+        # The first box's areas underflow to 0, the second's right edge overflows.
+        (workdir / "gt.txt").write_text(f"1,1,{box},1,-1,-1,-1\n")
+        (workdir / "hyp.txt").write_text(f"1,2,{box},1,-1,-1,-1\n")
+        code = main(["eval", "--gt", str(workdir / "gt.txt"), "--hyp", str(workdir / "hyp.txt"),
+                     "--out", str(workdir / "report.txt")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: frame 1: IoU of ground-truth id 1 Box(")
+        assert "hypothesis id 2 Box(" in err and err.endswith("is not finite\n")
+
+    @pytest.mark.parametrize("mode", ["threshold", "crf"])
+    @pytest.mark.parametrize("box", ["0,0,1e-200,1e-200", "1e308,0,1e308,10"])
+    def test_track_non_finite_iou_exit_code(self, workdir, capsys, mode, box):
+        # Suppression compares the second detection with the first.
+        hyp = workdir / "hyp.txt"
+        hyp.write_text(f"1,1,{box},0.9,-1,-1,-1\n1,2,{box},0.8,-1,-1,-1\n")
+        (workdir / "seqinfo.txt").write_text(
+            "imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=10\n")
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        code = main(["track", "--hyp", str(hyp), "--seqinfo", str(workdir / "seqinfo.txt"),
+                     "--params", str(workdir / "params.txt"), "--mode", mode,
+                     "--out", str(workdir / "out.txt")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: IoU of Box(") and err.endswith("is not finite\n")
+
     @pytest.mark.parametrize("mode", ["threshold", "crf"])
     def test_out_of_range_score_exit_code(self, workdir, capsys, mode):
         hyp = workdir / "hyp.txt"

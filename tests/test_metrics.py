@@ -10,11 +10,14 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import crftrack
-from crftrack.errors import ValidationError
+from crftrack import metrics
+from crftrack.crf_model import default_params
+from crftrack.errors import NumericalError, ValidationError
 from crftrack.features import Box
 from crftrack.io import TrackFile, TrackRecord
 from crftrack.metrics import (EvalReport, clear_mot, evaluate, idf1, iou, match_frame,
                               report_csv, report_text)
+from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
 
 
 def rec(frame, tid, left=0.0, top=0.0, w=10.0, h=10.0, score=1.0):
@@ -34,6 +37,15 @@ class TestIoU:
 
     def test_half_overlap(self):
         assert iou(Box(0, 0, 10, 10), Box(5, 0, 10, 10)) == pytest.approx(50 / 150)
+
+    @pytest.mark.parametrize("box", [Box(0, 0, 1e-200, 1e-200),  # areas underflow to 0
+                                     Box(1e308, 0, 1e308, 10)])  # right edge overflows
+    def test_overlap_without_finite_iou_raises(self, box):
+        with pytest.raises(NumericalError, match="not finite"):
+            iou(box, box)
+
+    def test_huge_box_apart_from_another(self):
+        assert iou(Box(1e308, 0, 1e308, 10), Box(0, 0, 10, 10)) == 0.0
 
 
 class TestMatchFrame:
@@ -188,6 +200,14 @@ class TestReports:
         assert min(report.fp, report.fn, report.ids, report.idtp) >= 0
 
 
+@pytest.fixture(scope="module")
+def crowd():
+    """A generated 20-target scenario of 40 frames: (hypotheses, ground truth, ctx)."""
+    return generate_scenario(ScenarioSpec(
+        num_frames=40, num_targets=20, camera_pan=(0.0, 0.8), seed=7,
+        drift_events=[DriftEvent(5, 0, 1), DriftEvent(8, 2, 3)]))
+
+
 def random_track_files(rng):
     """A seeded ground truth (ids 1-5) and hypothesis file (ids 1-8) of 14 frames.
 
@@ -225,13 +245,34 @@ def random_track_files(rng):
     return track_file(gt_rows), track_file(hyp_rows)
 
 
+def reference_match(g, h, last):
+    """One frame's GT id -> hypothesis id matches, by scalar iou over every pair.
+
+    Pairs that last still holds with IoU >= 0.5 are kept first, in GT id
+    order; the other pairs with IoU >= 0.5 follow by descending IoU, ties by
+    GT id and then hypothesis id. Each id is matched at most once.
+    """
+    hyp_by_id = dict(h)
+    matches = {}
+    for gid, gbox in sorted(g):
+        hid = last.get(gid)
+        if (hid in hyp_by_id and hid not in matches.values()
+                and iou(gbox, hyp_by_id[hid]) >= 0.5):
+            matches[gid] = hid
+    pairs = sorted((-iou(gbox, hbox), gid, hid) for gid, gbox in g for hid, hbox in h)
+    for neg_iou, gid, hid in pairs:
+        if -neg_iou >= 0.5 and gid not in matches and hid not in matches.values():
+            matches[gid] = hid
+    return matches
+
+
 def reference_reports(gt, hyp):
     """Both reports recomputed the plain way, for comparison with clear_mot and idf1.
 
-    Each frame's boxes are picked from the records directly. The CLEAR counters
-    come from each GT trajectory's history of matched hypothesis ids. Each
-    (GT id, hypothesis id) overlap is counted over frames, pair by pair, and
-    fed to linear_sum_assignment.
+    Each frame's boxes are picked from the records directly and matched by
+    reference_match. The CLEAR counters come from each GT trajectory's
+    history of matched hypothesis ids. Each (GT id, hypothesis id) overlap is
+    counted over frames, pair by pair, and fed to linear_sum_assignment.
     """
     frames = sorted({r.frame for r in gt.records + hyp.records})
     gt_boxes = {(r.track_id, r.frame): r.box() for r in gt.records}
@@ -241,8 +282,8 @@ def reference_reports(gt, hyp):
     for f in frames:
         g = [(gid, box) for (gid, frame), box in gt_boxes.items() if frame == f]
         h = [(hid, box) for (hid, frame), box in hyp_boxes.items() if frame == f]
-        matches, n_fp, n_fn = match_frame(g, h, last)
-        fp, fn = fp + n_fp, fn + n_fn
+        matches = reference_match(g, h, last)
+        fp, fn = fp + len(h) - len(matches), fn + len(g) - len(matches)
         for gid, _ in g:
             history.setdefault(gid, []).append(matches.get(gid))
         last.update(matches)
@@ -296,6 +337,83 @@ class TestReference:
         assert clear_mot(gt, TrackFile([])) == clear
         assert idf1(gt, TrackFile([])) == ident
         assert (ident.idtp, ident.idfn, clear.fn) == (0, len(gt), len(gt))
+
+    def test_match_frame_matches_reference(self):
+        # Persistence beats a better fit, each hypothesis is used once, and
+        # the rest go by descending IoU with ties broken by GT id.
+        g = [(1, Box(0, 0, 10, 10)), (2, Box(0, 0, 10, 10)), (3, Box(40, 0, 10, 10))]
+        h = [(5, Box(1, 0, 10, 10)), (6, Box(0, 0, 10, 10)), (7, Box(41, 0, 10, 10))]
+        for last in ({}, {1: 5}, {2: 5}, {1: 6, 2: 6}, {3: 5}):
+            matches, fp, fn = match_frame(g, h, last)
+            assert matches == reference_match(g, h, last)
+            assert (fp, fn) == (3 - len(matches), 3 - len(matches))
+        assert match_frame(g, h, {})[0] == {1: 6, 2: 5, 3: 7}
+        assert match_frame(g, h, {2: 6})[0] == {1: 5, 2: 6, 3: 7}
+
+    def test_tracked_crowd_scenario_matches_reference(self, crowd):
+        # The pair pass spans several chunks, and the drift victims' parked
+        # boxes are false positives that tracking drops.
+        hyp, gt, ctx = crowd
+        params, bp = default_params()
+        tracked = run(hyp, params, ctx, mode="crf", inference="exact", bp=bp)
+        pairs = sum(len(gt_rows) * len(hyp.by_frame().get(f, ()))
+                    for f, gt_rows in gt.by_frame().items())
+        assert pairs > 2 * metrics._CHUNK_PAIRS
+        for out in (hyp, tracked):
+            clear, ident = reference_reports(gt, out)
+            assert evaluate(gt, out) == replace(clear, **{
+                k: getattr(ident, k) for k in ("idf1", "idp", "idr", "idtp", "idfp", "idfn")})
+        assert clear_mot(gt, tracked).fp < clear_mot(gt, hyp).fp
+
+
+def scalar_walk(gt, hyp):
+    """What metrics._walk yields, by scalar iou over every same-frame pair."""
+    gt_frames, hyp_frames = gt.by_frame(), hyp.by_frame()
+    for f in sorted(gt_frames.keys() | hyp_frames.keys()):
+        g, h = gt_frames.get(f, []), hyp_frames.get(f, [])
+        hits = [(iou(a.box(), b.box()), a.track_id, b.track_id) for a in g for b in h]
+        yield [a.track_id for a in g], len(h), sorted(hit for hit in hits if hit[0] >= 0.5)
+
+
+class TestPairPass:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_hits_equal_scalar_enumeration(self, seed, monkeypatch):
+        gt, hyp = random_track_files(np.random.default_rng(seed))
+        expected = list(scalar_walk(gt, hyp))
+        for chunk in (1, 50, metrics._CHUNK_PAIRS):
+            monkeypatch.setattr(metrics, "_CHUNK_PAIRS", chunk)
+            walked = [(gids, n_hyp, sorted(hits)) for gids, n_hyp, hits in metrics._walk(gt, hyp)]
+            assert walked == expected
+
+    def test_hits_equal_scalar_enumeration_at_crowd_scale(self, crowd):
+        # Generated coordinates round IoUs in their last bits, unlike the
+        # random files' whole-pixel sizes.
+        hyp, gt, _ = crowd
+        walked = [(gids, n_hyp, sorted(hits)) for gids, n_hyp, hits in metrics._walk(gt, hyp)]
+        assert walked == list(scalar_walk(gt, hyp))
+
+    def test_walk_covers_edge_frames(self):
+        files = [random_track_files(np.random.default_rng(seed)) for seed in range(40)]
+        walked = [frame for gt, hyp in files for frame in metrics._walk(gt, hyp)]
+        values = [v for _, _, hits in walked for v, _, _ in hits]
+        assert min(values) == 0.5 and any(0.5 < v < 0.51 for v in values)
+        assert any(gids and n_hyp == 0 for gids, n_hyp, _ in walked)
+        assert any(not gids and n_hyp for gids, n_hyp, _ in walked)
+
+    def test_empty_hypothesis_file(self, rng):
+        gt, _ = random_track_files(rng)
+        walked = list(metrics._walk(gt, TrackFile([])))
+        assert walked == list(scalar_walk(gt, TrackFile([])))
+        assert all(n_hyp == 0 and not hits for _, n_hyp, hits in walked)
+
+    @pytest.mark.parametrize("row", [(0.0, 0.0, 1e-200, 1e-200), (1e308, 0.0, 1e308, 10.0)])
+    def test_overlap_without_finite_iou_names_frame_and_ids(self, row):
+        gt = track_file([rec(1, 1), rec(3, 2, *row)])
+        hyp = track_file([rec(1, 1), rec(3, 4, 0.0, 0.0, 10.0, 10.0), rec(3, 5, *row)])
+        for metric in (clear_mot, idf1, evaluate):
+            with pytest.raises(NumericalError,
+                               match="frame 3: IoU of ground-truth id 2 .* hypothesis id 5"):
+                metric(gt, hyp)
 
 
 def test_import_leaves_out_scipy_optimize():
