@@ -15,7 +15,7 @@ from .features import (Box, FeatureParams, FrameContext, HypothesisWindow,
                        aspect_ratio_change, boundary_flag, height_change_rate,
                        keep_keep_penalties, unary_feature, velocity_change)
 from .io import TrackFile, TrackRecord, parse_mot, write_mot
-from .metrics import EvalReport, clear_mot, evaluate, idf1, iou, match_frame
+from .metrics import EvalReport, clear_mot, evaluate, idf1, iou
 from .tracker import (DriftEvent, FrameResult, ScenarioSpec, TrackerState,
                       generate_scenario, run, step)
 from .training import (TrainConfig, TrainingSample, TrainResult, finite_diff_check,

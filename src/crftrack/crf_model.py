@@ -144,9 +144,21 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
 
 
 def graph_from_features(unary_phi, pair_phi, theta_u, theta_b) -> FactorGraph:
-    """Energy graph E = theta * phi over the CRF nodes."""
+    """Energy graph E = theta * phi over the CRF nodes.
+
+    Raises NumericalError naming the weight whose energies overflowed.
+    """
     n = unary_phi.shape[0]
-    return FactorGraph(n, theta_u * unary_phi, pair_ends(n), theta_b * pair_phi)
+    weight = "theta_u"
+    try:
+        # Trapping the overflow costs less than testing the products for infinity.
+        with np.errstate(over="raise"):
+            unary = theta_u * unary_phi
+            weight = "theta_b"
+            pair = theta_b * pair_phi
+    except FloatingPointError:
+        raise NumericalError(f"energies of weight {weight} overflow float range") from None
+    return FactorGraph(n, unary, pair_ends(n), pair)
 
 
 def assemble_frame_graph(windows, params: ModelParams, ctx: FrameContext) -> FrameAssembly:

@@ -4,9 +4,10 @@ One record per line, comma separated, ten fields:
 frame, id, left, top, width, height, score, -1, -1, -1. The three trailing
 fields are placeholders kept for layout compatibility. Pixel values are
 written with two decimals, scores with four, rounded half-up on the exact
-binary value (`fixed_point`). A frame object (one frame's context and
-windows) is the input of `infer` and, with gold labels, one line of a
-training dataset.
+binary value (`fixed_point`: "%.*f", with exact half-way cases rounded away
+from zero in integer arithmetic); a non-finite value is a ValidationError.
+A frame object (one frame's context and windows) is the input of `infer`
+and, with gold labels, one line of a training dataset.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .features import Box, FrameContext, HypothesisWindow, is_integer, is_real
-
-# Enough digits for any finite double (at most 309 before the point) to 4 decimals.
-_DECIMAL = Context(prec=320, rounding=ROUND_HALF_UP)
 
 
 @dataclass(frozen=True)
@@ -63,26 +60,26 @@ class TrackFile:
         return table
 
 
-def quantize(value: float, decimals: int) -> Decimal:
-    """Exact decimal rounding that never banker's-rounds: 0.125 -> 0.13 at 2 places.
-
-    The reference for `fixed_point`, which is faster and gives the same digits.
-    """
-    return _DECIMAL.quantize(Decimal(value), Decimal(1).scaleb(-decimals))
-
-
 def fixed_point(value: float, decimals: int) -> str:
     """value with `decimals` decimals, rounded half-up on its exact binary value.
 
     "%.*f" rounds the binary value correctly but half-even, so only exact
     half-way cases differ from half-up. At d decimals a double is one exactly
     when value * 2**(d + 1) is an odd integer (a power-of-two scaling is
-    exact); those, and non-finite values, are left to `quantize`.
+    exact). Values that pass that test (it also passes a few negatives one
+    ulp from a tie, as the float % rounds) are rounded away from zero in
+    integer arithmetic on the exact ratio n/m of abs(value): the digits are
+    floor(n * 10**d / m + 1/2). Raises ValidationError on a non-finite value.
     """
     value = float(value)  # a numpy float64 would warn where this scaling overflows
     scaled = value * (2 << decimals)
-    if scaled % 2.0 == 1.0 or not math.isfinite(scaled):
-        return str(quantize(value, decimals))
+    if not math.isfinite(scaled):
+        if not math.isfinite(value):
+            raise ValidationError(f"cannot write the non-finite value {value}")
+    elif scaled % 2.0 == 1.0:
+        n, m = abs(value).as_integer_ratio()
+        whole, fraction = divmod((2 * n * 10**decimals + m) // (2 * m), 10**decimals)
+        return "%s%d.%0*d" % ("-" * (value < 0), whole, decimals, fraction)
     return "%.*f" % (decimals, value)
 
 

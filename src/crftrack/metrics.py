@@ -88,19 +88,6 @@ def _match(hits, prev_matches):
     return matches
 
 
-def match_frame(gt_boxes, hyp_boxes, prev_matches):
-    """Correspond one frame's boxes.
-
-    gt_boxes and hyp_boxes are lists of (id, Box); prev_matches maps each GT
-    id to the hypothesis id it was last matched with. Returns
-    (matches, n_fp, n_fn) where matches maps GT id to hypothesis id.
-    """
-    hits = [(value, gid, hid) for gid, gbox in gt_boxes for hid, hbox in hyp_boxes
-            if (value := iou(gbox, hbox)) >= IOU_FLOOR]
-    matches = _match(hits, prev_matches)
-    return matches, len(hyp_boxes) - len(matches), len(gt_boxes) - len(matches)
-
-
 def _columns(track: TrackFile):
     """A track file's box columns and each frame's span of record rows.
 

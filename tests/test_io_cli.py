@@ -11,7 +11,7 @@ import pytest
 from crftrack.cli import exit_code_for, main
 from crftrack.errors import CapacityError, FormatError, NumericalError, ValidationError
 from crftrack.features import FrameContext
-from crftrack.io import (TrackFile, TrackRecord, parse_mot, parse_seqinfo, quantize,
+from crftrack.io import (TrackFile, TrackRecord, fixed_point, parse_mot, parse_seqinfo,
                          round_half_up, write_mot, write_seqinfo)
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario
 
@@ -24,6 +24,15 @@ SPEC_JSON = {
     "noise_std": 0.1,
     "seed": 1,
 }
+
+# Enough digits for any finite double (at most 309 before the point) to 4 decimals.
+HALF_UP = decimal.Context(prec=320, rounding=decimal.ROUND_HALF_UP)
+
+
+def quantize(value, decimals):
+    """The reference rounding: value's exact binary expansion, rounded half-up
+    (0.125 -> 0.13 at 2 places) by decimal arithmetic."""
+    return HALF_UP.quantize(decimal.Decimal(value), decimal.Decimal(1).scaleb(-decimals))
 
 
 class TestParse:
@@ -94,8 +103,9 @@ class TestWrite:
 
     def test_quantize_covers_every_finite_double(self):
         assert str(quantize(sys.float_info.max, 4)).endswith(".0000")
+        assert fixed_point(sys.float_info.max, 4) == str(quantize(sys.float_info.max, 4))
         assert round_half_up(-sys.float_info.max, 2) == -sys.float_info.max
-        assert str(quantize(2.675, 2)) == "2.67"  # stored as 2.67499...
+        assert fixed_point(2.675, 2) == str(quantize(2.675, 2)) == "2.67"  # stored as 2.67499...
 
     def test_half_up_not_bankers(self):
         # 0.125 is exactly representable; bankers rounding would give 0.12.
@@ -109,6 +119,8 @@ class TestWrite:
         # numpy.float64 inputs too, +-DBL_MAX among them: scaling those must not warn.
         values += list(np.array(values[:2_000]))
         expected = {d: [quantize(v, d) for v in values] for d in (2, 4)}
+        for d, wanted in expected.items():
+            assert [fixed_point(v, d) for v in values] == list(map(str, wanted))
         records = [TrackRecord(i, 1, v, 1.0, 1.0, 1.0, v) for i, v in enumerate(values, 1)]
         path = tmp_path / "t.txt"
         write_mot(TrackFile(records), path)
@@ -119,11 +131,23 @@ class TestWrite:
             got = [repr(round_half_up(v, d)) for v in values]
             assert got == [repr(float(q)) for q in wanted]
 
-    def test_infinite_value_rounds_like_quantize(self):
-        for v in (math.inf, -math.inf):
-            for fn in (quantize, round_half_up):
-                with pytest.raises(decimal.InvalidOperation):
-                    fn(v, 2)
+    def test_negative_near_ties_round_on_exact_value(self):
+        # The tie test passes these one ulp inside -0.125 and -0.03125, as the
+        # float % rounds its result; their exact values round toward zero.
+        for value, d, text in ((-0.12499999999999999, 2, "-0.12"),
+                               (-0.031249999999999997, 4, "-0.0312")):
+            assert (value * (2 << d)) % 2.0 == 1.0
+            assert fixed_point(value, d) == str(quantize(value, d)) == text
+            assert round_half_up(value, d) == float(text)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        for value in (math.nan, math.inf, -math.inf):
+            for fn in (fixed_point, round_half_up):
+                with pytest.raises(ValidationError, match="non-finite"):
+                    fn(value, 2)
+            with pytest.raises(ValidationError, match="non-finite"):
+                write_mot(TrackFile([TrackRecord(1, 1, 1.0, 1.0, 1.0, 1.0, value)]),
+                          tmp_path / "t.txt")
 
     def test_empty_track_file(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -146,9 +170,9 @@ class TestWrite:
 def oracle_doubles(rng, n):
     """n seeded doubles as Python floats: exact ties at 2 and 4 decimals (m/8 and
     m/32), their neighbours, pixel-range values, subnormals, random bit
-    patterns, and -0.0, nan and +-DBL_MAX."""
+    patterns, and -0.0 and +-DBL_MAX. All are finite."""
     big = sys.float_info.max
-    edges = [0.0, -0.0, math.nan, big, -big, 5e-324, -5e-324, sys.float_info.min,
+    edges = [0.0, -0.0, big, -big, 5e-324, -5e-324, sys.float_info.min,
              0.005, 0.125, 0.135, 2.675, 1.005, 0.00005, 0.00015, 2.0 ** 53 + 0.5]
     m = rng.integers(-2 ** 40, 2 ** 40, n // 8) >> rng.integers(0, 40, n // 8)
     ties = np.concatenate([m / 8.0, m / 32.0])
@@ -670,6 +694,30 @@ class TestCli:
                      "--out", str(workdir / "out.txt")]) == 3
         assert capsys.readouterr().err == \
             "error: non-finite pairwise feature of tracklets 1 and 2\n"
+
+    @pytest.mark.parametrize("inference", ["loopy-bp", "exact"])
+    @pytest.mark.parametrize("command, weight", [("track", "theta_u"), ("infer", "theta_b")])
+    def test_overflowing_weights_exit_code(self, workdir, capsys, command, weight, inference):
+        # Weights of 1e308 overflow the energies theta * phi of well-formed features.
+        from crftrack.crf_model import default_params, save_params, with_weights
+        params, bp = default_params()
+        save_params(workdir / "params.txt", with_weights(params, 1e308, 1e308), bp)
+        assert main(gen_args(workdir)) == 0
+        (workdir / "frame.json").write_text(json.dumps({
+            "image_width": 1920, "image_height": 1080, "frame_rate": 30,
+            "windows": [{"id": 1, "boxes": [[100, 100, 40, 100], [102, 100, 40, 100],
+                                            [104, 100, 40, 100]], "score": 0.9},
+                        {"id": 2, "boxes": [[500, 100, 40, 100], [502, 100, 40, 100],
+                                            [560, 100, 40, 100]], "score": 0.8}]}))
+        capsys.readouterr()
+        args = {"track": ["track", "--hyp", str(workdir / "hyp.txt"),
+                          "--seqinfo", str(workdir / "seqinfo.txt"), "--mode", "crf",
+                          "--out", str(workdir / "out.txt")],
+                "infer": ["infer", "--frame-json", str(workdir / "frame.json")]}[command]
+        assert main([*args, "--params", str(workdir / "params.txt"),
+                     "--inference", inference]) == 3
+        assert capsys.readouterr().err == \
+            f"error: energies of weight {weight} overflow float range\n"
 
     @pytest.mark.parametrize("command", ["infer", "gen", "check-gradients"])
     def test_deeply_nested_json_exit_code(self, workdir, capsys, command):

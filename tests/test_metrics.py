@@ -15,8 +15,8 @@ from crftrack.crf_model import default_params
 from crftrack.errors import NumericalError, ValidationError
 from crftrack.features import Box
 from crftrack.io import TrackFile, TrackRecord
-from crftrack.metrics import (EvalReport, clear_mot, evaluate, idf1, iou, match_frame,
-                              report_csv, report_text)
+from crftrack.metrics import (EvalReport, clear_mot, evaluate, idf1, iou, report_csv,
+                              report_text)
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
 
 
@@ -48,30 +48,60 @@ class TestIoU:
         assert iou(Box(1e308, 0, 1e308, 10), Box(0, 0, 10, 10)) == 0.0
 
 
+def match(g, h, last):
+    """metrics._match on one frame's hits, built with the scalar iou.
+
+    g and h are lists of (id, Box); last maps GT ids to hypothesis ids.
+    """
+    hits = [(value, gid, hid) for gid, gbox in g for hid, hbox in h
+            if (value := iou(gbox, hbox)) >= metrics.IOU_FLOOR]
+    return metrics._match(hits, last)
+
+
 class TestMatchFrame:
     def test_identical_sets(self):
         g = [(1, Box(0, 0, 10, 10)), (2, Box(50, 0, 10, 10))]
-        matches, fp, fn = match_frame(g, g, {})
-        assert matches == {1: 1, 2: 2} and fp == 0 and fn == 0
+        assert match(g, g, {}) == {1: 1, 2: 2}
 
     def test_below_floor_is_miss_plus_false_positive(self):
         g = [(1, Box(0, 0, 10, 10))]
         h = [(7, Box(7, 0, 10, 10))]  # IoU about 0.18
-        matches, fp, fn = match_frame(g, h, {})
-        assert matches == {} and fp == 1 and fn == 1
+        assert match(g, h, {}) == {}
+        gt = track_file([rec(1, 1)])
+        report = clear_mot(gt, track_file([rec(1, 7, left=7.0)]))
+        assert (report.fp, report.fn) == (1, 1)
 
     def test_persistence_beats_greedy(self):
         # Previous partner keeps the match even when another box fits better.
         g = [(1, Box(0, 0, 10, 10))]
         h = [(5, Box(1, 0, 10, 10)), (6, Box(0, 0, 10, 10))]
-        matches, _, _ = match_frame(g, h, {1: 5})
-        assert matches == {1: 5}
+        assert match(g, h, {1: 5}) == {1: 5}
 
     def test_switch_detected_by_caller(self):
         g = [(1, Box(0, 0, 10, 10))]
         h = [(6, Box(0, 0, 10, 10))]
-        matches, _, _ = match_frame(g, h, {1: 5})
-        assert matches == {1: 6}
+        assert match(g, h, {1: 5}) == {1: 6}
+
+    def test_each_hypothesis_used_once(self):
+        g = [(1, Box(0, 0, 10, 10)), (2, Box(0, 0, 10, 10))]
+        h = [(5, Box(0, 0, 10, 10))]
+        assert match(g, h, {}) == {1: 5}
+        assert match(g, h, {1: 5, 2: 5}) == {1: 5}
+
+    def test_descending_iou(self):
+        # The better fit wins against id order, from either side.
+        g = [(1, Box(0, 0, 10, 10)), (2, Box(2, 0, 10, 10))]
+        assert match(g, [(5, Box(2, 0, 10, 10))], {}) == {2: 5}
+        h = [(5, Box(3, 0, 10, 10)), (6, Box(1, 0, 10, 10))]
+        assert match(g[:1], h, {}) == {1: 6}
+
+    def test_equal_iou_goes_to_smaller_gt_id(self):
+        g = [(2, Box(0, 0, 10, 10)), (1, Box(0, 0, 10, 10))]
+        assert match(g, [(5, Box(0, 0, 10, 10))], {}) == {1: 5}
+
+    def test_equal_iou_goes_to_smaller_hypothesis_id(self):
+        h = [(6, Box(0, 0, 10, 10)), (5, Box(0, 0, 10, 10))]
+        assert match([(1, Box(0, 0, 10, 10))], h, {}) == {1: 5}
 
 
 class TestClearMot:
@@ -344,11 +374,9 @@ class TestReference:
         g = [(1, Box(0, 0, 10, 10)), (2, Box(0, 0, 10, 10)), (3, Box(40, 0, 10, 10))]
         h = [(5, Box(1, 0, 10, 10)), (6, Box(0, 0, 10, 10)), (7, Box(41, 0, 10, 10))]
         for last in ({}, {1: 5}, {2: 5}, {1: 6, 2: 6}, {3: 5}):
-            matches, fp, fn = match_frame(g, h, last)
-            assert matches == reference_match(g, h, last)
-            assert (fp, fn) == (3 - len(matches), 3 - len(matches))
-        assert match_frame(g, h, {})[0] == {1: 6, 2: 5, 3: 7}
-        assert match_frame(g, h, {2: 6})[0] == {1: 5, 2: 6, 3: 7}
+            assert match(g, h, last) == reference_match(g, h, last)
+        assert match(g, h, {}) == {1: 6, 2: 5, 3: 7}
+        assert match(g, h, {2: 6}) == {1: 5, 2: 6, 3: 7}
 
     def test_tracked_crowd_scenario_matches_reference(self, crowd):
         # The pair pass spans several chunks, and the drift victims' parked
