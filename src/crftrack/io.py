@@ -2,10 +2,13 @@
 
 One record per line, comma separated, ten fields:
 frame, id, left, top, width, height, score, -1, -1, -1. The three trailing
-fields are placeholders kept for layout compatibility. Pixel values are
-written with two decimals, scores with four, rounded half-up on the exact
-binary value (`fixed_point`: "%.*f", with exact half-way cases rounded away
-from zero in integer arithmetic); a non-finite value is a ValidationError.
+fields are placeholders kept for layout compatibility; every field must
+parse as a finite number, and frame and id as integers that fit in int64.
+A TrackFile holds the rows as numpy columns: frame and id as int64, the
+box and score as float64. Pixel values are written with two decimals,
+scores with four, rounded half-up on the exact binary value (`fixed_point`:
+"%.*f", with exact half-way cases rounded away from zero in integer
+arithmetic); a non-finite value is a ValidationError.
 A frame object (one frame's context and windows) is the input of `infer`
 and, with gold labels, one line of a training dataset.
 """
@@ -15,14 +18,17 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import FormatError, ValidationError
 from .features import Box, FrameContext, HypothesisWindow, is_integer, is_real
 
 
-@dataclass(frozen=True)
-class TrackRecord:
+class TrackRecord(NamedTuple):
+    """One row of a track file."""
+
     frame: int
     track_id: int
     left: float
@@ -35,29 +41,71 @@ class TrackRecord:
         return Box(self.left, self.top, self.width, self.height)
 
 
-@dataclass
 class TrackFile:
-    """Records sorted by (frame, id), no duplicates; an error's line is the record's position."""
+    """Rows sorted by (frame, id), no duplicates, held as numpy columns.
 
-    records: list[TrackRecord] = field(default_factory=list)
+    frame and track_id are int64 columns; left, top, width, height and score
+    float64 columns. TrackFile(records) builds the columns from TrackRecord
+    rows; `records` and `by_frame()` give rows back. A frame or id outside
+    int64, or a row out of order, is a FormatError whose line is the row's
+    position.
+    """
 
-    def __post_init__(self):
-        prev = None
-        for line, rec in enumerate(self.records, start=1):
-            key = (rec.frame, rec.track_id)
-            if prev is not None and key <= prev:
-                fault = "duplicate record" if key == prev else "records not sorted by (frame, id)"
-                raise FormatError(f"{fault} at frame {rec.frame}, id {rec.track_id}", line=line)
-            prev = key
+    def __init__(self, records=()):
+        self._fill(*(list(zip(*records)) or [()] * len(TrackRecord._fields)))
+
+    @classmethod
+    def _from_columns(cls, *columns) -> TrackFile:
+        track = cls.__new__(cls)
+        track._fill(*columns)
+        return track
+
+    def _fill(self, frame, track_id, *values):
+        try:
+            self.frame = np.array(frame, dtype=np.int64)
+            self.track_id = np.array(track_id, dtype=np.int64)
+        except OverflowError:
+            row = next(i for i, key in enumerate(zip(frame, track_id))
+                       if not all(-2**63 <= v < 2**63 for v in key))
+            raise FormatError(f"frame and id must fit in 64-bit integers, got frame "
+                              f"{frame[row]}, id {track_id[row]}", line=row + 1)
+        self.left, self.top, self.width, self.height, self.score = (
+            np.asarray(c, dtype=float) for c in values)
+        frame, track_id = self.frame, self.track_id
+        later = (frame[1:] > frame[:-1]) | ((frame[1:] == frame[:-1])
+                                            & (track_id[1:] > track_id[:-1]))
+        if not later.all():
+            row = int(np.argmin(later)) + 1
+            same = frame[row] == frame[row - 1] and track_id[row] == track_id[row - 1]
+            fault = "duplicate record" if same else "records not sorted by (frame, id)"
+            raise FormatError(f"{fault} at frame {frame[row]}, id {track_id[row]}",
+                              line=row + 1)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The seven columns in TrackRecord field order."""
+        return tuple(getattr(self, name) for name in TrackRecord._fields)
+
+    @property
+    def records(self) -> list[TrackRecord]:
+        return list(map(TrackRecord, *(c.tolist() for c in self.columns)))
 
     def __len__(self):
-        return len(self.records)
+        return len(self.frame)
+
+    def __eq__(self, other):
+        if not isinstance(other, TrackFile):
+            return NotImplemented
+        return all(map(np.array_equal, self.columns, other.columns))
+
+    def __repr__(self):
+        return f"TrackFile({self.records!r})"
 
     def by_frame(self) -> dict[int, list[TrackRecord]]:
-        table: dict[int, list[TrackRecord]] = {}
-        for rec in self.records:
-            table.setdefault(rec.frame, []).append(rec)
-        return table
+        frames, starts = np.unique(self.frame, return_index=True)
+        bounds = [*starts.tolist(), len(self)]
+        records = self.records
+        return {f: records[a:b] for f, a, b in zip(frames.tolist(), bounds, bounds[1:])}
 
 
 def fixed_point(value: float, decimals: int) -> str:
@@ -87,54 +135,95 @@ def round_half_up(value: float, decimals: int) -> float:
     return float(fixed_point(value, decimals))
 
 
+def _check_row(line: str, lineno: int):
+    """Raise the FormatError of the first check that one non-blank line fails."""
+    fields = line.split(",")
+    if len(fields) != 10:
+        raise FormatError(f"expected 10 fields, got {len(fields)}", line=lineno)
+    try:
+        frame = int(fields[0])
+        int(fields[1])
+        values = list(map(float, fields[2:]))
+    except ValueError:
+        raise FormatError(f"non-numeric field in {line!r}", line=lineno)
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"non-finite field in {line!r}", line=lineno)
+    width, height = values[2:4]
+    if frame < 1:
+        raise FormatError(f"frame numbers start at 1, got {frame}", line=lineno)
+    if width <= 0 or height <= 0:
+        raise FormatError(f"non-positive box dimensions {width}x{height}", line=lineno)
+
+
 def parse_mot(source) -> TrackFile:
-    """Parse a MOT text file from a path or an iterable of lines; every number must be finite."""
+    """Parse a MOT text file from a path or an iterable of lines; every number must be finite.
+
+    Each column is converted with one int() or float() pass and checked as a
+    whole. Only when a check fails are the lines checked one by one, so the
+    error names the first bad line as a line-by-line parse would.
+    """
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, encoding="ascii") as fh:
             lines = fh.readlines()
     else:
         lines = list(source)
 
-    records, linenos = [], []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 10:
-            raise FormatError(f"expected 10 fields, got {len(fields)}", line=lineno)
-        try:
-            frame = int(fields[0])
-            track_id = int(fields[1])
-            values = list(map(float, fields[2:]))
-        except ValueError:
-            raise FormatError(f"non-numeric field in {line!r}", line=lineno)
-        # A finite sum proves every value finite; only a sum that is not
-        # (or overflowed) needs the check of each value.
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-            raise FormatError(f"non-finite field in {line!r}", line=lineno)
-        left, top, width, height, score = values[:5]
-        if frame < 1:
-            raise FormatError(f"frame numbers start at 1, got {frame}", line=lineno)
-        if width <= 0 or height <= 0:
-            raise FormatError(f"non-positive box dimensions {width}x{height}", line=lineno)
-        records.append(TrackRecord(frame, track_id, left, top, width, height, score))
-        linenos.append(lineno)
+    rows = [line for line in map(str.strip, lines) if line]
+    fields = [row.split(",") for row in rows]
+    ok = set(map(len, fields)) <= {10}
+    try:
+        if ok:
+            text = list(zip(*fields)) or [()] * 10
+            frame, track_id = (list(map(int, c)) for c in text[:2])
+            values = np.array([list(map(float, c)) for c in text[2:7]])
+            # The placeholders are only checked, so each distinct string is read once.
+            placeholders = [float(s) for c in text[7:] for s in set(c)]
+            ok = (min(frame, default=1) >= 1 and np.isfinite(values).all()
+                  and all(map(math.isfinite, placeholders)) and (values[2:4] > 0).all())
+    except ValueError:
+        ok = False
+    if not ok:
+        for row, lineno in zip(rows, _line_numbers(lines)):
+            _check_row(row, lineno)
 
     try:
-        return TrackFile(records)
+        return TrackFile._from_columns(frame, track_id, *values)
     except FormatError as exc:
-        exc.line = linenos[exc.line - 1]  # TrackFile counts records; blank lines count here
+        exc.line = _line_numbers(lines)[exc.line - 1]  # TrackFile counts rows, not blank lines
         raise
 
 
+def _line_numbers(lines) -> list[int]:
+    """The 1-based numbers of the lines that are not blank."""
+    return [n for n, line in enumerate(lines, start=1) if line.strip()]
+
+
+_ROW = "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,-1,-1,-1\n"
+_DECIMALS = np.array([[2], [2], [2], [2], [4]])
+
+
 def write_mot(track: TrackFile, path):
-    """Write records in the fixed decimal layout; round-trips through parse_mot."""
+    """Write records in the fixed decimal layout; round-trips through parse_mot.
+
+    Rows holding a value that fixed_point's tie test admits are written value
+    by value with fixed_point; every other row by one %-format, which rounds
+    as fixed_point does away from ties.
+    """
+    values = np.stack(track.columns[2:])
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        for value in values[:, np.argmin(finite)].tolist():
+            fixed_point(value, 2)  # raises on the row's first non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        tie = (np.remainder(values * (2 << _DECIMALS), 2.0) == 1.0).any(axis=0)
+    rows = list(zip(track.frame.tolist(), track.track_id.tolist(), *values.tolist()))
+    lines = [_ROW % row for row in rows]
+    for i in np.flatnonzero(tie).tolist():
+        frame, track_id, *pixels, score = rows[i]
+        lines[i] = ",".join([str(frame), str(track_id), *(fixed_point(v, 2) for v in pixels),
+                             fixed_point(score, 4), "-1", "-1", "-1"]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        for rec in track.records:
-            pixels = (fixed_point(v, 2) for v in (rec.left, rec.top, rec.width, rec.height))
-            fh.write(",".join([str(rec.frame), str(rec.track_id), *pixels,
-                               fixed_point(rec.score, 4), "-1", "-1", "-1"]) + "\n")
+        fh.writelines(lines)
 
 
 SEQINFO_KEYS = ("imWidth", "imHeight", "frameRate", "seqLength")

@@ -107,13 +107,18 @@ def _log_partition(phi, theta):
 
 
 def log_likelihood(params: ModelParams, samples) -> float:
-    """Sum of log p(gold labels | observations) over the samples, with exact log Z."""
+    """Sum of log p(gold labels | observations) over the samples, with exact log Z.
+
+    Weights whose energies overflow float range give a non-finite value, not
+    a numpy warning.
+    """
     theta = np.array([params.theta_u, params.theta_b])
     total = 0.0
-    for sample in samples:
-        phi, phi_gold = sample.tables(params)
-        log_z, _ = _log_partition(phi, theta)
-        total += -float(phi_gold @ theta) - log_z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sample in samples:
+            phi, phi_gold = sample.tables(params)
+            log_z, _ = _log_partition(phi, theta)
+            total += -float(phi_gold @ theta) - log_z
     return total
 
 
@@ -133,23 +138,34 @@ def sgd_train(samples, init: ModelParams, config: TrainConfig, bp=None) -> Train
     """Per-sample gradient ascent on the two shared weights.
 
     Samples are reshuffled every epoch with a seeded generator. The returned
-    trace holds the exact full-data log-likelihood at initialization and
-    after each epoch. `bp` is unused: training runs no inference routine.
+    trace holds the exact full-data log-likelihood at initialization (epoch
+    0) and after each epoch. A step that leaves the weights non-finite,
+    or a trace entry that is not finite, raises NumericalError naming its
+    epoch; a finite but falling likelihood is returned.
+    `bp` is unused: training runs no inference routine.
     """
     if not samples:
         raise ValidationError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.shuffle_seed)
     theta_u, theta_b = init.theta_u, init.theta_b
-    trace = [log_likelihood(init, samples)]
-    for _ in range(config.epochs):
-        for idx in rng.permutation(len(samples)):
-            g_u, g_b = gradient(with_weights(init, theta_u, theta_b), samples[idx])
-            if not (math.isfinite(g_u) and math.isfinite(g_b)):
-                s = samples[idx]
-                raise NumericalError(f"non-finite gradient on sample {s.sequence}:{s.frame}")
-            theta_u += config.learning_rate * g_u
-            theta_b += config.learning_rate * g_b
-        trace.append(log_likelihood(with_weights(init, theta_u, theta_b), samples))
+    trace = []
+    # Overflow shows as non-finite weights or a non-finite trace entry, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs + 1):
+            if epoch:
+                for idx in rng.permutation(len(samples)):
+                    g_u, g_b = gradient(with_weights(init, theta_u, theta_b), samples[idx])
+                    theta_u += config.learning_rate * g_u
+                    theta_b += config.learning_rate * g_b
+                    if not (math.isfinite(theta_u) and math.isfinite(theta_b)):
+                        s = samples[idx]
+                        raise NumericalError(f"SGD step on sample {s.sequence}:{s.frame} in "
+                                             f"epoch {epoch} leaves the weights non-finite")
+            trace.append(log_likelihood(with_weights(init, theta_u, theta_b), samples))
+            if not math.isfinite(trace[-1]):
+                raise NumericalError(f"log-likelihood {trace[-1]} after epoch {epoch} of "
+                                     f"{config.epochs} is not finite: the energies "
+                                     f"overflow float range")
     return TrainResult(params=with_weights(init, theta_u, theta_b), epoch_loglik=trace)
 
 

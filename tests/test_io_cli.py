@@ -314,6 +314,43 @@ class TestCli:
         assert final < init
         assert captured.err.startswith("warning: SGD lowered the log-likelihood")
 
+    def test_train_overflowing_likelihood_exit_code(self, workdir, capsys):
+        # Steps this large take the log-likelihood to -inf while every gradient
+        # stays finite; pytest turns a numpy RuntimeWarning into an error.
+        spec = {"num_frames": 40, "num_targets": 3, "frame_rate": 5.0,
+                "camera_pan": [[1, [0.0, 0.5]], [20, [0.4, 0.0]]],
+                "drift_events": [[8, 0, 1]], "noise_std": 0.1, "seed": 1}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        args = train_args(workdir, "1e304")
+        args[args.index("--epochs") + 1] = "30"
+        capsys.readouterr()
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: log-likelihood -inf after epoch 7 of 30 is not finite: "
+                                "the energies overflow float range\n")
+        assert not (workdir / "trained.txt").exists()
+
+    def test_train_step_overflowing_the_weights_exit_code(self, workdir, capsys):
+        args = train_args(workdir, "1e308")
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: SGD step on sample seq:") and "leaves the weights" in err
+        assert not (workdir / "trained.txt").exists()
+
+    def test_train_overflowing_initial_weights_exit_code(self, workdir, capsys):
+        args = train_args(workdir, "0.01")
+        params = workdir / "params.txt"
+        params.write_text("".join(
+            f"{line.partition('=')[0]}=1e308\n" if line.startswith(("theta_u=", "theta_b="))
+            else line + "\n" for line in params.read_text().splitlines()))
+        capsys.readouterr()
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: log-likelihood nan after epoch 0 of 2 ")
+        assert not (workdir / "trained.txt").exists()
+
     def test_clean_run_warns_on_stderr(self, workdir, capsys):
         # Ground truth as its own baseline run has no negative frame to learn from.
         args = train_args(workdir, "0.01")
