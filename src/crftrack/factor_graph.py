@@ -9,11 +9,11 @@ propagation (approximate marginals on loopy graphs, exact on trees), and
 max-product belief propagation (approximate MAP). `infer` is the one MAP
 dispatch from an inference mode name to a labeling.
 
-With binary labels the energy is a quadratic form in the labeling, so
+With binary labels the energy is a quadratic form c + a.y + y'Qy, so
 `labeling_energies` evaluates all 2**K labelings with a few matrix products
-over cached labeling halves, holding one number per labeling. Exact inference,
-the exact MAP of `infer` and the training likelihood all start from that grid;
-the MAP is its argmin alone, with no exponentials and no marginals.
+over cached labeling halves, holding one number per labeling. Exact inference
+and the exact MAP of `infer` start from that grid, and training's feature sums
+come from its routine too; the MAP is its argmin alone, with no exponentials.
 
 Belief propagation keeps its messages as normalized log-probabilities, so an
 energy table whose exp(-E) underflows to zero still passes a finite message;
@@ -168,10 +168,33 @@ def _quadratic_form(graph):
     return c, a, q
 
 
-def _half_energies(half, a, q):
-    """a.y + y'Qy for every labeling y of one half."""
+def _half_energies(half, a, q, part):
+    """a.y + y'Qy over the variables `part` for every labeling y of one half; None skips a term."""
     y = half[:, half.shape[1] // 2:]
-    return y @ a + ((y @ q) * y).sum(axis=1)
+    linear = 0.0 if a is None else y @ a[part]
+    return linear if q is None else linear + ((y @ q[part, part]) * y).sum(axis=1)
+
+
+def _check_capacity(num_vars):
+    if num_vars > MAX_EXACT_VARS:
+        raise CapacityError(f"exact inference enumerates 2**K labelings; "
+                            f"K={num_vars} exceeds {MAX_EXACT_VARS}, so use loopy-bp")
+
+
+def _energy_grid(n, c, a, q):
+    """labeling_energies' grid of c + a.y + y'Qy (None skips a term); _check_capacity first."""
+    k = min(n, COLUMN_VARS)
+    cols, rows = _labeling_half(k), _labeling_half(n - k)
+    col_energies = _half_energies(cols, a, q, slice(k)) + c
+    if n == k:  # one grid row: no row half and no cross product
+        return col_energies.reshape(1, -1)
+    row_energies = _half_energies(rows, a, q, slice(k, n))[:, None]
+    if q is None:
+        return row_energies + col_energies
+    energies = (rows[:, n - k:] @ q[:k, k:].T) @ cols[:, k:].T
+    energies += row_energies
+    energies += col_energies
+    return energies
 
 
 def labeling_energies(graph: FactorGraph) -> np.ndarray:
@@ -180,18 +203,8 @@ def labeling_energies(graph: FactorGraph) -> np.ndarray:
     With k = min(K, COLUMN_VARS), entry [r, c] is labeling (r << k) | c. The grid
     is c + e_rows + e_cols + (R Q_cross) C' over the two cached labeling halves.
     """
-    n = graph.num_vars
-    if n > MAX_EXACT_VARS:
-        raise CapacityError(f"exact inference enumerates 2**K labelings; "
-                            f"K={n} exceeds {MAX_EXACT_VARS}, so use loopy-bp")
-    c, a, q = _quadratic_form(graph)
-    k = min(n, COLUMN_VARS)
-    cols, rows = _labeling_half(k), _labeling_half(n - k)
-
-    energies = (rows[:, n - k:] @ q[:k, k:].T) @ cols[:, k:].T
-    energies += _half_energies(rows, a[k:], q[k:, k:])[:, None]
-    energies += _half_energies(cols, a[:k], q[:k, :k]) + c
-    return energies
+    _check_capacity(graph.num_vars)
+    return _energy_grid(graph.num_vars, *_quadratic_form(graph))
 
 
 def _map_index(energies):

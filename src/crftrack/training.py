@@ -7,8 +7,10 @@ well-tracked frames is sampled as positives. Only the two shared weights are
 trained; the feature hyperparameters stay fixed.
 
 Each sample enters the likelihood only through the (2**n, 2) matrix Phi of the
-feature sums (phi_u, phi_b) of all its labelings, built once: log Z is a
-log-sum-exp of -Phi theta, and the gradient is E_p[Phi] - Phi[gold].
+feature sums (phi_u, phi_b) of all its labelings, built once from the feature
+tables, with no factor graph: its columns are the unary form c + a.y and the
+pair form y'Qy on exact inference's labeling grid. log Z is a log-sum-exp of
+-Phi theta, and the gradient is E_p[Phi] - Phi[gold].
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .crf_model import (ModelParams, compute_feature_tables, graph_from_features, split_frame,
-                        with_weights)
+from .crf_model import ModelParams, compute_feature_tables, pair_ends, split_frame, with_weights
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import labeling_energies
+from .factor_graph import _check_capacity, _energy_grid
 from .features import FrameContext, HypothesisWindow, is_integer
 from .io import TrackFile, _decode_json, frame_from_json, frame_to_json
 from .metrics import iou
@@ -82,9 +83,14 @@ class TrainingSample:
         if set(node_ids) != set(self.gold):
             raise ValidationError(
                 f"gold labels {sorted(self.gold)} do not cover the CRF nodes {node_ids}")
-        phi = np.stack([labeling_energies(graph_from_features(unary_phi, pair_phi, 1.0, 0.0)),
-                        labeling_energies(graph_from_features(unary_phi, pair_phi, 0.0, 1.0))],
-                       axis=-1).reshape(-1, 2)
+        n = len(node_ids)
+        _check_capacity(n)
+        i, j = pair_ends(n).T
+        q = np.bincount(i * n + j, pair_phi[:, 1, 1], minlength=n * n).reshape(n, n)
+        phi = np.empty((1 << n, 2))
+        phi[:, 0] = _energy_grid(n, unary_phi[:, 0].sum(), unary_phi[:, 1] - unary_phi[:, 0],
+                                 None).ravel()
+        phi[:, 1] = _energy_grid(n, 0.0, None, q).ravel()
         gold = sum(self.gold[tid] << v for v, tid in enumerate(node_ids))
         value = (phi, phi[gold].copy())
         self._cache[key] = value

@@ -7,9 +7,10 @@ import pytest
 
 from conftest import random_full_graph, random_tree_graph, reference_enumeration
 from crftrack.errors import CapacityError, NumericalError, ValidationError
-from crftrack.factor_graph import (COLUMN_VARS, MAX_SETTLED_NATS, BpConfig, FactorGraph,
-                                   _labeling_half, exact_inference, infer, labeling_energies,
-                                   max_product, sum_product)
+from crftrack.factor_graph import (COLUMN_VARS, MAX_EXACT_VARS, MAX_SETTLED_NATS, BpConfig,
+                                   FactorGraph, _labeling_half, _map_index, _quadratic_form,
+                                   exact_inference, infer, labeling_energies, max_product,
+                                   sum_product)
 
 # BP settings for acyclic graphs: undamped flooding reaches the exact fixed
 # point in finitely many sweeps.
@@ -84,6 +85,48 @@ def reference_message_passing(graph, config, maximize, trace=None):
     log_pairs = log_pairs - np.logaddexp.reduce(log_pairs, axis=1, keepdims=True)
     return (np.exp(log_marginals), np.exp(log_pairs).reshape(-1, 2, 2),
             (log_marginals[:, 1] >= log_marginals[:, 0]).astype(int), converged, iterations)
+
+
+def reference_grid(graph):
+    """One grid formula for every K, kept as the bit-level reference of labeling_energies.
+
+    Every grid is the cross product, plus the row half, plus the column half
+    and c; each half adds its linear term to its quadratic one.
+    """
+    n = graph.num_vars
+    c, a, q = _quadratic_form(graph)
+    k = min(n, COLUMN_VARS)
+    cols, rows = _labeling_half(k), _labeling_half(n - k)
+
+    def half(labels, a_part, q_part):
+        y = labels[:, labels.shape[1] // 2:]
+        return y @ a_part + ((y @ q_part) * y).sum(axis=1)
+
+    energies = (rows[:, n - k:] @ q[:k, k:].T) @ cols[:, k:].T
+    energies += half(rows, a[k:], q[k:, k:])[:, None]
+    energies += half(cols, a[:k], q[:k, :k]) + c
+    return energies
+
+
+@pytest.mark.parametrize("k", range(MAX_EXACT_VARS + 1))
+def test_labeling_energies_match_reference_grid(k):
+    rng = np.random.default_rng(500 + k)
+    ends = np.transpose(np.triu_indices(k, 1))
+    # The all-zero graph ties every labeling; small-integer energies plant
+    # ties among a few minima.
+    graphs = [FactorGraph(k, np.zeros((k, 2)), ends, np.zeros((len(ends), 2, 2)))]
+    for integer in (False, True, False, True):
+        draw = ((lambda shape: rng.integers(-2, 3, shape).astype(float)) if integer
+                else (lambda shape: rng.normal(0.0, 1.0, shape)))
+        keep = rng.random(len(ends)) < rng.random()
+        graphs.append(FactorGraph(k, draw((k, 2)), ends[keep], draw((int(keep.sum()), 2, 2))))
+    for graph in graphs:
+        grid, expected = labeling_energies(graph), reference_grid(graph)
+        assert grid.shape == expected.shape
+        assert np.array_equal(grid, expected)
+        best = _map_index(expected)
+        assert _map_index(grid) == best
+        assert infer(graph, "exact").map_labels.tolist() == [(best >> v) & 1 for v in range(k)]
 
 
 class TestExactInference:

@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from crftrack import cli, crf_model, io, training
 from crftrack.crf_model import (ModelParams, compute_feature_tables, default_params,
-                                graph_from_features, pair_ends, with_weights)
+                                graph_from_features, pair_ends, save_params, with_weights)
 from crftrack.errors import CapacityError, ValidationError
-from crftrack.factor_graph import exact_inference
+from crftrack.factor_graph import exact_inference, labeling_energies
 from crftrack.features import Box, FrameContext, HypothesisWindow
 from crftrack.io import TrackFile, TrackRecord, frame_from_json, frame_to_json
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
@@ -232,6 +235,142 @@ class TestStatisticsEngine:
         params = dataclasses.replace(table_params, node_budget=21)
         with pytest.raises(CapacityError):
             log_likelihood(params, [crowded_sample(21)])
+
+    def test_phi_build_peak_at_capacity(self, table_params):
+        params = dataclasses.replace(table_params, node_budget=20)
+        sample = crowded_sample(20)
+        tracemalloc.start()
+        try:
+            sample.tables(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Phi itself is 16 MiB; one 8 MiB column grid is alive while it fills.
+        assert peak < 28 * 2**20
+
+    def test_capacity_checked_before_allocation(self, table_params, tmp_path):
+        # 2**40 labelings: allocating Phi first would raise numpy's MemoryError.
+        params = dataclasses.replace(table_params, node_budget=40)
+        windows = [steady_window(tid, 0.5 + 0.01 * tid, x=45.0 * tid) for tid in range(40)]
+        sample = TrainingSample(windows=windows, ctx=CTX, gold={tid: 1 for tid in range(40)},
+                                sequence="unit", frame=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                sample.tables(params)
+            with pytest.raises(CapacityError):
+                log_likelihood(params, [sample])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        save_params(tmp_path / "params.txt", params)
+        save_dataset(tmp_path / "dataset.txt", [sample])
+        assert cli.main(["check-gradients", "--params", str(tmp_path / "params.txt"),
+                         "--dataset", str(tmp_path / "dataset.txt")]) == 4
+
+
+def reference_tables(params, sample):
+    """Phi from two factor graphs at theta = (1, 0) and (0, 1), kept as the bit-level reference."""
+    nodes, unary_phi, pair_phi, _, _ = compute_feature_tables(sample.windows, params, sample.ctx)
+    phi = np.stack([labeling_energies(graph_from_features(unary_phi, pair_phi, 1.0, 0.0)),
+                    labeling_energies(graph_from_features(unary_phi, pair_phi, 0.0, 1.0))],
+                   axis=-1).reshape(-1, 2)
+    gold = sum(sample.gold[w.tracklet_id] << v for v, w in enumerate(nodes))
+    return phi, phi[gold].copy()
+
+
+@pytest.fixture(scope="module")
+def crowd_datasets(table_params):
+    """Datasets of a 20-target scenario at node budgets on both sides of the grid split."""
+    spec = ScenarioSpec(num_targets=20, camera_pan=(0.0, 0.8), seed=7,
+                        drift_events=[DriftEvent(f, 2 * k, 2 * k + 1)
+                                      for k, f in enumerate((18, 44, 70, 96))])
+    hyp, gt, ctx = generate_scenario(spec)
+    baseline = run(hyp, table_params, ctx, mode="threshold-only")
+    datasets = {}
+    for budget in (1, 10, 11, 12, 14):
+        params = dataclasses.replace(table_params, node_budget=budget)
+        datasets[budget] = (params, generate_dataset(baseline, gt, params, TrainConfig(), ctx))
+    return datasets
+
+
+class TestPhiMatchesFactorGraphReference:
+    @pytest.mark.parametrize("budget", (1, 10, 11, 12, 14))
+    def test_every_sample_of_a_crowd_dataset(self, crowd_datasets, budget):
+        params, samples = crowd_datasets[budget]
+        assert max(len(s.gold) for s in samples) == budget
+        for sample in samples:
+            phi, phi_gold = sample.tables(params)
+            expected, expected_gold = reference_tables(params, sample)
+            assert phi.shape == expected.shape
+            assert np.array_equal(phi, expected)
+            assert np.array_equal(phi_gold, expected_gold)
+
+    @pytest.mark.parametrize("make", (empty_node_sample, single_node_sample))
+    def test_zero_and_one_node_samples(self, table_params, make):
+        phi, phi_gold = make().tables(table_params)
+        expected, expected_gold = reference_tables(table_params, make())
+        assert phi.shape == expected.shape
+        assert np.array_equal(phi, expected) and np.array_equal(phi_gold, expected_gold)
+
+    def test_sgd_on_reference_tables_is_identical(self, crowd_datasets):
+        params, samples = crowd_datasets[12]
+        patched = [dataclasses.replace(s, _cache={}) for s in samples]
+        for sample in patched:
+            sample._cache[training._table_key(params)] = reference_tables(params, sample)
+        fresh = [dataclasses.replace(s, _cache={}) for s in samples]
+        config = TrainConfig(epochs=2, shuffle_seed=3)
+        expected = sgd_train(patched, params, config)
+        result = sgd_train(fresh, params, config)
+        assert result.epoch_loglik == expected.epoch_loglik
+        assert (result.params.theta_u, result.params.theta_b) \
+            == (expected.params.theta_u, expected.params.theta_b)
+
+
+def test_cli_train_reaches_layer_functions_through_module_attributes(tmp_path, monkeypatch):
+    """Each training function the benchmark wraps in a span is called through its module.
+
+    As the benchmark's tracer does, the counter replaces every binding a
+    crftrack module holds of the function.
+    """
+    spec = ScenarioSpec(camera_pan=(0.0, 0.8), seed=201,
+                        drift_events=[DriftEvent(18, 0, 1), DriftEvent(44, 2, 3)])
+    hyp, gt, ctx = generate_scenario(spec)
+    params, _ = default_params()
+    for folder in ("runs", "gt"):
+        (tmp_path / folder).mkdir()
+    io.write_mot(run(hyp, params, ctx, mode="threshold-only"), tmp_path / "runs" / "s.txt")
+    io.write_mot(gt, tmp_path / "gt" / "s.txt")
+    io.write_seqinfo(tmp_path / "runs" / "s.seqinfo", ctx, spec.num_frames)
+    save_params(tmp_path / "params.txt", *default_params())
+
+    calls = Counter()
+
+    def count(name, owners, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        for owner in owners:
+            for attr, value in list(vars(owner).items()):
+                if value is original:
+                    monkeypatch.setattr(owner, attr, counted)
+
+    count("tables", [TrainingSample], TrainingSample.tables)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "crftrack"]
+    for module, name in ((training, "log_likelihood"), (training, "gradient"),
+                         (crf_model, "compute_feature_tables"),
+                         (crf_model, "graph_from_features")):
+        count(name, modules, getattr(module, name))
+    assert cli.main(["train", "--runs", str(tmp_path / "runs"), "--gt", str(tmp_path / "gt"),
+                     "--params-init", str(tmp_path / "params.txt"), "--epochs", "1",
+                     "--out-params", str(tmp_path / "out.txt"),
+                     "--out-dataset", str(tmp_path / "dataset.txt")]) == 0
+    n = len(load_dataset(tmp_path / "dataset.txt"))
+    assert n > 0
+    # Training builds no factor graph, so graph_from_features is not reached.
+    assert calls == {"compute_feature_tables": n, "tables": 3 * n, "gradient": n,
+                     "log_likelihood": 2}
 
 
 class TestFiniteDiffCheck:
