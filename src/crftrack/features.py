@@ -125,10 +125,10 @@ class HypothesisWindow:
 
 
 def aspect_ratio_change(window: HypothesisWindow) -> float:
-    """Ratio of the current aspect ratio to the previous frame's."""
+    """Ratio of the current aspect ratio to the previous frame's; inf if that one is 0."""
     window._need(2, "aspect ratio change")
-    cur, prev = window.boxes[-1], window.boxes[-2]
-    return cur.aspect() / prev.aspect()
+    prev = window.boxes[-2].aspect()
+    return window.boxes[-1].aspect() / prev if prev else math.inf
 
 
 def velocity_change(window: HypothesisWindow, ctx: FrameContext) -> tuple[float, float]:

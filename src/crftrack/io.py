@@ -271,10 +271,11 @@ def parse_seqinfo(path) -> tuple[FrameContext, int]:
 
 
 def _decode_json(text: str, what: str):
-    """Decoded JSON text; malformed or too deeply nested text is a FormatError naming `what`."""
+    """Decoded JSON text; malformed, too deeply nested or overlong-integer text is a
+    FormatError naming `what`."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad {what}: {exc}")
 
 

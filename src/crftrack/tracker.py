@@ -1,10 +1,12 @@
 """Online tracking workflow over recorded hypothesis streams.
 
 The tracker consumes precomputed per-frame hypotheses (recorded from an
-upstream tracker or synthesized), maintains rolling three-frame histories,
-and decides inactivation either by the plain score threshold or through the
-per-frame CRF. Inactivated tracklets are never revived; new detections start
-fresh tracklets after greedy IoU suppression against kept ones.
+upstream tracker or synthesized) whose rows carry the stream's tracklet ids,
+maintains rolling three-frame histories, and decides inactivation either by
+the plain score threshold or through the per-frame CRF. Inactivated
+tracklets are never revived; a new id starts a tracklet after greedy IoU
+suppression against kept ones. A frame whose rows fail a check is rejected
+before it changes any state.
 
 The scenario generator builds seeded synthetic sequences with constant
 velocity pedestrians, camera pan, and injected boundary-drift events in which
@@ -39,7 +41,6 @@ class TrackerState:
 
     active: dict[int, HypothesisWindow] = field(default_factory=dict)
     inactive: set[int] = field(default_factory=set)
-    next_id: int = 1
 
 
 @dataclass(frozen=True)
@@ -66,34 +67,36 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
          bp: BpConfig | None = None, observer=None):
     """Advance the tracker by one frame.
 
-    hypotheses is a list of (track_id or None, Box, score); None entries and
-    ids never seen before are new detections. Rows referencing inactivated
-    ids are ignored (no re-identification). Returns (state, FrameResult);
-    the state object is updated in place.
+    hypotheses is a list of (track_id, Box, score) rows with the stream's
+    ids: an active id continues its tracklet, a new id is a detection, and
+    rows of inactivated ids are ignored (no re-identification). Returns
+    (state, FrameResult), updating the state in place. Every row is checked
+    first, so a ValidationError (a score outside [0, 1], an id named twice,
+    a new id that is not an integer) leaves the state unchanged.
     """
     if mode not in ("threshold-only", "crf"):
         raise ValidationError(f"unknown tracking mode {mode!r}")
 
     existing = []
     detections = []
-    seen = set()
+    named = set()
     for tid, box, score in hypotheses:
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"hypothesis score {score} outside [0, 1] at frame {frame}")
-        if tid is not None and tid in state.inactive:
-            continue
-        if tid is not None and tid in state.active:
-            if tid in seen:
-                raise ValidationError(f"duplicate hypothesis for tracklet {tid} at frame {frame}")
-            seen.add(tid)
+        if tid in named:
+            raise ValidationError(f"duplicate hypothesis for tracklet {tid} at frame {frame}")
+        named.add(tid)
+        if tid in state.active:
             existing.append((tid, box, score))
-        else:
+        elif tid not in state.inactive:
+            if not is_integer(tid):
+                raise ValidationError(f"tracklet id {tid!r} at frame {frame} is not an integer")
             detections.append((tid, box, score))
 
     decisions = []
 
     # Active tracklets with no hypothesis this frame lost their target.
-    for tid in sorted(set(state.active) - seen):
+    for tid in sorted(set(state.active) - named):
         last_box = state.active[tid].boxes[-1]
         _inactivate(state, tid)
         decisions.append(TrackletDecision(tid, last_box, 0.0, INACTIVATED_THRESHOLD))
@@ -119,17 +122,12 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
     # kept. Detections below the short-tracklet threshold never start: a
     # one-box tracklet would be inactivated by that same rule immediately.
     kept_boxes = [d.box for d in decisions if d.decision in ACTIVE_KINDS]
-    detections.sort(key=lambda t: (-t[2], t[0] if t[0] is not None else -1))
+    detections.sort(key=lambda t: (-t[2], t[0]))
     for tid, box, score in detections:
         if score < params.short_threshold:
             continue
         if any(iou(box, other) >= NMS_IOU for other in kept_boxes):
             continue
-        if tid is None:
-            tid = state.next_id
-        if tid in state.active or tid in state.inactive:
-            raise ValidationError(f"tracklet id {tid} reused at frame {frame}")
-        state.next_id = max(state.next_id, tid + 1)
         state.active[tid] = HypothesisWindow(tid, (box,), score)
         kept_boxes.append(box)
         decisions.append(TrackletDecision(tid, box, score, KEPT))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ class TestAspectRatioChange:
         win = window_from_boxes([(0, 0, 10, 20)])
         with pytest.raises(InsufficientHistoryError):
             aspect_ratio_change(win)
+
+    def test_underflowed_previous_ratio_is_infinite(self):
+        # 1e-30 / 1e300 underflows to 0.0, so the ratio over it is infinite.
+        for current in ((0, 0, 10, 20), (0, 0, 1e-30, 1e300)):
+            win = window_from_boxes([(0, 0, 1e-30, 1e300), current])
+            assert aspect_ratio_change(win) == math.inf
 
 
 class TestVelocityChange:

@@ -6,7 +6,9 @@ Every run must end in a documented exit code, with an `error:` line when it
 fails, and no exception may escape. Mutations delete, duplicate or truncate
 a line, swap one number for a malformed value, or drop a JSON key. None of
 them can turn a count into a large value: `gen` allocates
-num_frames x num_targets arrays.
+num_frames x num_targets arrays. The boundary test's 5000-digit integer is
+past Python's integer conversion limit, so it fails in the parser before
+anything is allocated.
 """
 
 import json
@@ -130,3 +132,15 @@ def test_mutated_input_exits_with_documented_code(inputs, capsys, kind):
         if code not in (0, 2, 3, 4) or (code != 0 and not err.startswith("error:")):
             failures.append((case, f"exit {code}, stderr {err!r}", text))
     assert not failures, "\n\n".join(f"case {c}: {what}\n{text}" for c, what, text in failures)
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCES))
+def test_oversized_integer_exits_2(inputs, capsys, kind):
+    valid = (inputs / SOURCES[kind]).read_text()
+    first = NUMBER.search(valid)
+    bad = inputs / f"big-{SOURCES[kind]}"
+    bad.write_text(valid[:first.start()] + "9" * 5000 + valid[first.end():], encoding="ascii")
+    capsys.readouterr()
+    assert main(command(kind, inputs, str(bad), 0)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

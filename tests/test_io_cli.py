@@ -732,6 +732,34 @@ class TestCli:
         assert capsys.readouterr().err == \
             "error: non-finite pairwise feature of tracklets 1 and 2\n"
 
+    @pytest.mark.parametrize("command", ["track", "infer", "check-gradients"])
+    def test_degenerate_aspect_ratio_exit_code(self, workdir, capsys, command):
+        # A valid 1e-30 x 1e300 box has an aspect ratio that underflows to 0, so the
+        # next frame's aspect-ratio change is infinite.
+        from crftrack.crf_model import default_params, save_params
+        save_params(workdir / "params.txt", *default_params())
+        boxes = {tid: [[x + 2 * t, 100, 40, 100] for t in (1, 2, 3)]
+                 for tid, x in ((1, 100), (2, 500), (3, 900))}
+        boxes[1][1][2:] = [1e-30, 1e300]
+        (workdir / "hyp.txt").write_text("".join(
+            f"{t},{tid},{','.join(map(str, boxes[tid][t - 1]))},0.9,-1,-1,-1\n"
+            for t in (1, 2, 3) for tid in (1, 2, 3)))
+        (workdir / "seqinfo.txt").write_text(
+            "imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=3\n")
+        frame = {"sequence": "s", "frame": 3, "image_width": 1920, "image_height": 1080,
+                 "frame_rate": 5, "windows": [{"id": tid, "boxes": boxes[tid], "score": 0.9,
+                                               "gold": int(tid > 1)} for tid in (1, 2, 3)]}
+        (workdir / "frame.json").write_text(json.dumps(frame) + "\n")
+        code = main({
+            "track": ["track", "--hyp", str(workdir / "hyp.txt"),
+                      "--seqinfo", str(workdir / "seqinfo.txt"), "--mode", "crf",
+                      "--out", str(workdir / "out.txt")],
+            "infer": ["infer", "--frame-json", str(workdir / "frame.json")],
+            "check-gradients": ["check-gradients", "--dataset", str(workdir / "frame.json")],
+        }[command] + ["--params", str(workdir / "params.txt")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: non-finite unary feature of tracklet 1\n"
+
     @pytest.mark.parametrize("inference", ["loopy-bp", "exact"])
     @pytest.mark.parametrize("command, weight", [("track", "theta_u"), ("infer", "theta_b")])
     def test_overflowing_weights_exit_code(self, workdir, capsys, command, weight, inference):

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import pytest
@@ -86,11 +87,11 @@ class TestStep:
 
     def test_new_detection_nms(self):
         state, results = feed([[
-            (None, Box(100, 100, 40, 100), 0.9),
-            (None, Box(105, 100, 40, 100), 0.8),   # overlaps the first
-            (None, Box(600, 100, 40, 100), 0.7),
+            (1, Box(100, 100, 40, 100), 0.9),
+            (2, Box(105, 100, 40, 100), 0.8),   # overlaps the first
+            (3, Box(600, 100, 40, 100), 0.7),
         ]])
-        assert len(state.active) == 2
+        assert set(state.active) == {1, 3}
         assert {d.decision for d in results[0].decisions} == {"kept"}
         assert len(results[0].decisions) == 2
 
@@ -106,13 +107,39 @@ class TestStep:
         assert len(state.active[1].boxes) == 3
         assert state.active[1].boxes == tuple(moving(1, f)[1] for f in (6, 7, 8))
 
-    def test_fresh_ids_never_reused(self):
-        state, _ = feed([[(None, Box(100, 100, 40, 100), 0.9)],
-                         [(1, Box(102, 100, 40, 100), 0.2)],
-                         [(None, Box(100, 100, 40, 100), 0.9)]])
-        assert 1 in state.inactive
-        assert set(state.active) == {2}
-        assert set(state.active).isdisjoint(state.inactive)
+
+class TestIdContract:
+    """Rows carry the stream's ids, and a rejected frame leaves the state unchanged."""
+
+    @staticmethod
+    def state_at_frame_3():
+        # Tracklet 1 is active, tracklet 2 inactivated by its low score.
+        state, _ = feed([[moving(1, 1), moving(2, 1, x0=600)],
+                         [moving(1, 2), (2, Box(600, 100, 40, 100), 0.2)]])
+        assert set(state.active) == {1} and state.inactive == {2}
+        return state
+
+    @pytest.mark.parametrize("rows, message", [
+        ([moving(1, 3), (None, Box(900, 100, 40, 100), 0.9)],
+         "tracklet id None at frame 3 is not an integer"),
+        ([moving(1, 3), (5.0, Box(900, 100, 40, 100), 0.9)],
+         "tracklet id 5.0 at frame 3 is not an integer"),
+        # Tracklet 1 has no row, so a half-applied frame would have inactivated it.
+        ([(5, Box(900, 100, 40, 100), 0.9), (5, Box(1500, 100, 40, 100), 0.9)],
+         "duplicate hypothesis for tracklet 5 at frame 3"),
+        ([moving(1, 3), moving(1, 3)], "duplicate hypothesis for tracklet 1 at frame 3"),
+        ([moving(1, 3), (2, Box(600, 100, 40, 100), 0.9), (2, Box(600, 100, 40, 100), 0.9)],
+         "duplicate hypothesis for tracklet 2 at frame 3"),
+        ([moving(1, 3), (5, Box(900, 100, 40, 100), 1.5)],
+         r"hypothesis score 1.5 outside \[0, 1\] at frame 3"),
+    ], ids=["none-id", "float-id", "duplicate-new", "duplicate-continuing",
+            "duplicate-ignored", "score"])
+    def test_rejected_frame_leaves_state_unchanged(self, rows, message):
+        state = self.state_at_frame_3()
+        before = copy.deepcopy(state)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            step(state, 3, rows, ModelParams(), CTX, inference="exact")
+        assert state == before
 
 
 class TestRun:
