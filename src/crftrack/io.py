@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -275,8 +276,10 @@ def _decode_json(text: str, what: str):
     FormatError naming `what`."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"bad {what}: {exc}")
+    except ValueError:  # the only other: an integer past Python's conversion limit
+        raise FormatError(f"bad {what}: integer longer than {sys.get_int_max_str_digits()} digits")
 
 
 def frame_to_json(ctx: FrameContext, windows, gold=None) -> dict:

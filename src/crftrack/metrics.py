@@ -3,10 +3,10 @@
 Per-frame correspondence uses an IoU floor of 0.5: existing matches persist
 while they stay above the floor, the rest are matched greedily by descending
 IoU. Identity metrics come from a global trajectory-level assignment that
-maximizes the number of per-frame box agreements. Both metrics fold over one
-IoU pass per sequence: numpy computes the IoU of every same-frame
-(ground-truth, hypothesis) pair, and only the pairs at or above the floor,
-the only ones that can affect either metric, reach Python.
+maximizes the number of per-frame box agreements. Both metrics, and training's
+dataset labels, fold over one IoU pass per sequence: numpy computes the IoU
+of every same-frame (ground-truth, hypothesis) pair, and only the pairs at
+or above the floor, the only ones that can affect either, reach Python.
 """
 
 from __future__ import annotations
@@ -138,12 +138,12 @@ def _hits(chunk, gt: TrackFile, hyp: TrackFile, gt_columns, hyp_columns):
 
 
 def _walk(gt: TrackFile, hyp: TrackFile):
-    """Yield (GT ids, hypothesis count, hits) for every frame of either file, in order.
+    """Yield (frame, GT ids, hypothesis count, hits) for every frame of either file.
 
-    GT ids are in id order; hits are the frame's (IoU, GT id, hypothesis id)
-    triples with IoU >= IOU_FLOOR, computed chunk by chunk of frames with
-    _hits. Raises NumericalError naming the frame, ids and boxes of an
-    overlapping pair whose IoU is not finite.
+    Frames ascend; GT ids are in id order; hits are the frame's (IoU, GT id,
+    hypothesis id) triples with IoU >= IOU_FLOOR, computed chunk by chunk of
+    frames with _hits. Raises NumericalError naming the frame, ids and boxes
+    of an overlapping pair whose IoU is not finite.
     """
     gt_columns, hyp_columns = _columns(gt), _columns(hyp)
     frame_list = np.union1d(gt.frame, hyp.frame)
@@ -157,9 +157,9 @@ def _walk(gt: TrackFile, hyp: TrackFile):
         if pairs < _CHUNK_PAIRS and end < len(frames):
             continue
         chunk = frames[start:end]
-        for (_, (g0, g1), (h0, h1)), hits in zip(
+        for (frame, (g0, g1), (h0, h1)), hits in zip(
                 chunk, _hits(chunk, gt, hyp, gt_columns, hyp_columns)):
-            yield gt_ids[g0:g1], h1 - h0, hits
+            yield frame, gt_ids[g0:g1], h1 - h0, hits
         start, pairs = end, 0
 
 
@@ -180,7 +180,7 @@ def clear_mot(gt: TrackFile, hyp: TrackFile) -> EvalReport:
     observed: dict[int, int] = {}
     fp = fn = ids = frag = 0
 
-    for gids, n_hyp, hits in _walk(gt, hyp):
+    for _, gids, n_hyp, hits in _walk(gt, hyp):
         matches = _match(hits, prev_matches)
         fp += n_hyp - len(matches)
         fn += len(gids) - len(matches)
@@ -227,7 +227,7 @@ def idf1(gt: TrackFile, hyp: TrackFile) -> EvalReport:
     row = {gid: i for i, gid in enumerate(gids)}
     col = {hid: j for j, hid in enumerate(hids)}
     overlap = np.zeros((len(gids), len(hids)), dtype=int)
-    for _, _, hits in _walk(gt, hyp):
+    for _, _, _, hits in _walk(gt, hyp):
         for _, gid, hid in hits:
             overlap[row[gid], col[hid]] += 1
 

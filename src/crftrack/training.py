@@ -3,8 +3,9 @@
 Training data comes from replaying a threshold-only tracker's output against
 ground truth: frames where the baseline kept a tracklet whose box no longer
 covers its own trajectory become negative samples, and a multiple of
-well-tracked frames is sampled as positives. Only the two shared weights are
-trained; the feature hyperparameters stay fixed.
+well-tracked frames is sampled as positives. Coverage is evaluation's IoU >=
+0.5 test: the labels fold over the same IoU pass, metrics._walk. Only the two
+shared weights are trained; the feature hyperparameters stay fixed.
 
 Each sample enters the likelihood only through the (2**n, 2) matrix Phi of the
 feature sums (phi_u, phi_b) of all its labelings, built once from the feature
@@ -27,9 +28,7 @@ from .errors import FormatError, NumericalError, ValidationError
 from .factor_graph import _check_capacity, _energy_grid
 from .features import FrameContext, HypothesisWindow, is_integer
 from .io import TrackFile, _decode_json, frame_from_json, frame_to_json
-from .metrics import iou
-
-OWNER_IOU = 0.5
+from .metrics import _walk
 
 # A sample's feature tables depend on every ModelParams field but the weights.
 _table_key = operator.attrgetter(*(f.name for f in fields(ModelParams)
@@ -213,34 +212,36 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
                      sequence_id: str = "seq") -> list[TrainingSample]:
     """Label the frames of a baseline run against ground truth.
 
-    A tracklet is owned by the trajectory it covered best (IoU >= 0.5) on its
-    first frame; its gold label at a later frame is 0 when its box has
-    IoU < 0.5 with that trajectory's box, or the trajectory is gone. Frames
-    where any would-be CRF node is gold-0 are negatives; positive_ratio times
-    as many all-correct frames are drawn with the shuffle seed.
+    A run box covers a trajectory when metrics._walk pairs them (IoU >= 0.5).
+    A tracklet is owned by the trajectory it covers best on its first frame
+    or after a gap, of equal IoUs the smaller GT id; its gold label is 1
+    exactly when it covers its owner in the frame. Frames where any would-be
+    CRF node is gold-0 are negatives; positive_ratio times as many
+    all-correct frames are drawn with the shuffle seed.
     """
     run_frames = track_run.by_frame()
-    gt_frames = {f: {r.track_id: r.box() for r in recs}
-                 for f, recs in ground_truth.by_frame().items()}
-
     windows_by_id: dict[int, HypothesisWindow] = {}
     last_frame: dict[int, int] = {}
     owners: dict[int, int | None] = {}
     negatives, positives = [], []
 
-    for frame in sorted(run_frames):
+    for frame, _, n_run, hits in _walk(ground_truth, track_run):
+        if not n_run:
+            continue
+        covered = {(gid, tid) for _, gid, tid in hits}
+        # Sorted so each tracklet's last hit is its best, of equal IoUs the smaller GT id.
+        best = {tid: gid for _, gid, tid in sorted(hits, key=lambda h: (h[0], -h[1]))}
         for rec in run_frames[frame]:
             tid = rec.track_id
-            box = rec.box()
-            # A tracklet missing from the previous frame restarts its history.
-            if last_frame.get(tid) != frame - 1:
-                windows_by_id[tid] = HypothesisWindow(tid, (box,), rec.score)
-                gt_here = gt_frames.get(frame, {})
-                best = max(gt_here, key=lambda g: iou(box, gt_here[g]), default=None)
-                owned = best is not None and iou(box, gt_here[best]) >= OWNER_IOU
-                owners[tid] = best if owned else None
-            else:
-                windows_by_id[tid] = windows_by_id[tid].extended(box, rec.score)
+            try:
+                # A tracklet missing from the previous frame restarts its history.
+                if last_frame.get(tid) != frame - 1:
+                    windows_by_id[tid] = HypothesisWindow(tid, (rec.box(),), rec.score)
+                    owners[tid] = best.get(tid)
+                else:
+                    windows_by_id[tid] = windows_by_id[tid].extended(rec.box(), rec.score)
+            except ValidationError as exc:
+                raise ValidationError(f"run {sequence_id}, frame {frame}, tracklet {tid}: {exc}")
             last_frame[tid] = frame
 
         windows = [windows_by_id[rec.track_id] for rec in run_frames[frame]]
@@ -248,13 +249,8 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
         if not nodes:
             continue
 
-        gold = {}
-        for w in nodes:
-            owner = owners.get(w.tracklet_id)
-            gt_box = gt_frames.get(frame, {}).get(owner) if owner is not None else None
-            good = gt_box is not None and iou(w.boxes[-1], gt_box) >= OWNER_IOU
-            gold[w.tracklet_id] = 1 if good else 0
-
+        gold = {w.tracklet_id: int((owners[w.tracklet_id], w.tracklet_id) in covered)
+                for w in nodes}
         sample = TrainingSample(windows=windows, ctx=ctx, gold=gold,
                                 sequence=sequence_id, frame=frame)
         (negatives if sample.negative else positives).append(sample)

@@ -14,6 +14,7 @@ anything is allocated.
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -144,3 +145,7 @@ def test_oversized_integer_exits_2(inputs, capsys, kind):
     assert main(command(kind, inputs, str(bad), 0)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    # The error states the limit instead of advising a Python call.
+    assert "sys.set_int_max_str_digits" not in err
+    if kind in ("spec", "frame", "dataset"):
+        assert err.endswith(f"JSON: integer longer than {sys.get_int_max_str_digits()} digits\n")

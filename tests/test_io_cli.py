@@ -219,6 +219,19 @@ def train_args(d, lr):
             "--out-dataset", str(d / "dataset.txt")]
 
 
+def hand_train_args(d, run_text, gt_text):
+    """Parameters, a hand-written run `seq` and its ground truth; then train args."""
+    from crftrack.crf_model import default_params, save_params
+    save_params(d / "params.txt", *default_params())
+    runs, gts = d / "runs", d / "gts"
+    runs.mkdir(), gts.mkdir()
+    (runs / "seq.txt").write_text(run_text)
+    (gts / "seq.txt").write_text(gt_text)
+    (runs / "seq.seqinfo").write_text("imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=10\n")
+    return ["train", "--runs", str(runs), "--gt", str(gts),
+            "--params-init", str(d / "params.txt"), "--out-params", str(d / "trained.txt")]
+
+
 class TestCli:
     def test_gen_track_eval_pipeline(self, workdir, capsys):
         assert main(gen_args(workdir)) == 0
@@ -497,6 +510,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: IoU of Box(") and err.endswith("is not finite\n")
+
+    @pytest.mark.parametrize("box", ["0,0,1e-200,1e-200", "1e308,0,1e308,10"])
+    def test_train_non_finite_iou_exit_code(self, workdir, capsys, box):
+        # Tracklet 3 meets trajectory 7 on its second frame, where it is no CRF
+        # node yet and 7 is not its owner: every same-frame pair is checked.
+        args = hand_train_args(
+            workdir, f"1,3,500,500,30,60,0.9,-1,-1,-1\n2,3,{box},0.9,-1,-1,-1\n",
+            f"1,1,500,500,30,60,1,-1,-1,-1\n2,7,{box},1,-1,-1,-1\n")
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame 2: IoU of ground-truth id 7 Box(")
+        assert "hypothesis id 3 Box(" in err and err.endswith("is not finite\n")
+        assert not (workdir / "trained.txt").exists()
+
+    def test_train_out_of_range_score_names_run_frame_and_tracklet(self, workdir, capsys):
+        args = hand_train_args(
+            workdir, "1,1,10,20,30,60,0.9,-1,-1,-1\n2,1,12,20,30,60,1.2,-1,-1,-1\n",
+            "1,1,10,20,30,60,1,-1,-1,-1\n2,1,12,20,30,60,1,-1,-1,-1\n")
+        assert main(args) == 2
+        assert capsys.readouterr().err == \
+            "error: run seq, frame 2, tracklet 1: score 1.2 outside [0, 1]\n"
+        assert not (workdir / "trained.txt").exists()
 
     @pytest.mark.parametrize("mode", ["threshold", "crf"])
     def test_out_of_range_score_exit_code(self, workdir, capsys, mode):

@@ -400,7 +400,7 @@ def scalar_walk(gt, hyp):
     for f in sorted(gt_frames.keys() | hyp_frames.keys()):
         g, h = gt_frames.get(f, []), hyp_frames.get(f, [])
         hits = [(iou(a.box(), b.box()), a.track_id, b.track_id) for a in g for b in h]
-        yield [a.track_id for a in g], len(h), sorted(hit for hit in hits if hit[0] >= 0.5)
+        yield f, [a.track_id for a in g], len(h), sorted(hit for hit in hits if hit[0] >= 0.5)
 
 
 class TestPairPass:
@@ -410,29 +410,34 @@ class TestPairPass:
         expected = list(scalar_walk(gt, hyp))
         for chunk in (1, 50, metrics._CHUNK_PAIRS):
             monkeypatch.setattr(metrics, "_CHUNK_PAIRS", chunk)
-            walked = [(gids, n_hyp, sorted(hits)) for gids, n_hyp, hits in metrics._walk(gt, hyp)]
+            walked = [(f, gids, n_hyp, sorted(hits))
+                      for f, gids, n_hyp, hits in metrics._walk(gt, hyp)]
             assert walked == expected
 
     def test_hits_equal_scalar_enumeration_at_crowd_scale(self, crowd):
         # Generated coordinates round IoUs in their last bits, unlike the
         # random files' whole-pixel sizes.
         hyp, gt, _ = crowd
-        walked = [(gids, n_hyp, sorted(hits)) for gids, n_hyp, hits in metrics._walk(gt, hyp)]
+        walked = [(f, gids, n_hyp, sorted(hits))
+                  for f, gids, n_hyp, hits in metrics._walk(gt, hyp)]
         assert walked == list(scalar_walk(gt, hyp))
 
     def test_walk_covers_edge_frames(self):
         files = [random_track_files(np.random.default_rng(seed)) for seed in range(40)]
-        walked = [frame for gt, hyp in files for frame in metrics._walk(gt, hyp)]
-        values = [v for _, _, hits in walked for v, _, _ in hits]
+        for gt, hyp in files:
+            frames = [f for f, _, _, _ in metrics._walk(gt, hyp)]
+            assert frames == sorted(set(gt.frame.tolist()) | set(hyp.frame.tolist()))
+        walked = [item for gt, hyp in files for item in metrics._walk(gt, hyp)]
+        values = [v for _, _, _, hits in walked for v, _, _ in hits]
         assert min(values) == 0.5 and any(0.5 < v < 0.51 for v in values)
-        assert any(gids and n_hyp == 0 for gids, n_hyp, _ in walked)
-        assert any(not gids and n_hyp for gids, n_hyp, _ in walked)
+        assert any(gids and n_hyp == 0 for _, gids, n_hyp, _ in walked)
+        assert any(not gids and n_hyp for _, gids, n_hyp, _ in walked)
 
     def test_empty_hypothesis_file(self, rng):
         gt, _ = random_track_files(rng)
         walked = list(metrics._walk(gt, TrackFile([])))
         assert walked == list(scalar_walk(gt, TrackFile([])))
-        assert all(n_hyp == 0 and not hits for _, n_hyp, hits in walked)
+        assert all(n_hyp == 0 and not hits for _, _, n_hyp, hits in walked)
 
     @pytest.mark.parametrize("row", [(0.0, 0.0, 1e-200, 1e-200), (1e308, 0.0, 1e308, 10.0)])
     def test_overlap_without_finite_iou_names_frame_and_ids(self, row):

@@ -10,11 +10,13 @@ import pytest
 
 from crftrack import cli, crf_model, io, training
 from crftrack.crf_model import (ModelParams, compute_feature_tables, default_params,
-                                graph_from_features, pair_ends, save_params, with_weights)
+                                graph_from_features, pair_ends, save_params, split_frame,
+                                with_weights)
 from crftrack.errors import CapacityError, ValidationError
 from crftrack.factor_graph import exact_inference, labeling_energies
 from crftrack.features import Box, FrameContext, HypothesisWindow
 from crftrack.io import TrackFile, TrackRecord, frame_from_json, frame_to_json
+from crftrack.metrics import iou
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
 from crftrack.training import (TrainConfig, TrainingSample, finite_diff_check,
                                generate_dataset, gradient, load_dataset,
@@ -111,6 +113,133 @@ class TestGenerateDataset:
         samples, _ = scenario_dataset(seed=207)
         assert [(s.frame, s.windows, s.gold) for s in samples] \
             == [(s.frame, s.windows, s.gold) for s in expected]
+
+
+def scalar_generate_dataset(track_run, ground_truth, params, config, ctx, sequence_id="seq"):
+    """generate_dataset as it was before it folded over metrics._walk: scalar iou per Box.
+
+    A tracklet's owner is, on its first frame or after a gap, the first GT id
+    in id order of the largest IoU with its box, if that IoU is >= 0.5; its
+    gold label is 1 when its box has IoU >= 0.5 with the owner's box there.
+    """
+    run_frames = track_run.by_frame()
+    gt_frames = {f: {r.track_id: r.box() for r in recs}
+                 for f, recs in ground_truth.by_frame().items()}
+    windows_by_id, last_frame, owners = {}, {}, {}
+    negatives, positives = [], []
+    for frame in sorted(run_frames):
+        for rec in run_frames[frame]:
+            tid = rec.track_id
+            box = rec.box()
+            if last_frame.get(tid) != frame - 1:
+                windows_by_id[tid] = HypothesisWindow(tid, (box,), rec.score)
+                gt_here = gt_frames.get(frame, {})
+                best = max(gt_here, key=lambda g: iou(box, gt_here[g]), default=None)
+                owned = best is not None and iou(box, gt_here[best]) >= 0.5
+                owners[tid] = best if owned else None
+            else:
+                windows_by_id[tid] = windows_by_id[tid].extended(box, rec.score)
+            last_frame[tid] = frame
+        windows = [windows_by_id[rec.track_id] for rec in run_frames[frame]]
+        nodes, _, _ = split_frame(windows, params)
+        if not nodes:
+            continue
+        gold = {}
+        for w in nodes:
+            owner = owners.get(w.tracklet_id)
+            gt_box = gt_frames.get(frame, {}).get(owner) if owner is not None else None
+            gold[w.tracklet_id] = int(gt_box is not None and iou(w.boxes[-1], gt_box) >= 0.5)
+        sample = TrainingSample(windows=windows, ctx=ctx, gold=gold,
+                                sequence=sequence_id, frame=frame)
+        (negatives if sample.negative else positives).append(sample)
+    if not negatives:
+        return []
+    rng = np.random.default_rng(config.shuffle_seed)
+    wanted = min(config.positive_ratio * len(negatives), len(positives))
+    chosen = sorted(rng.choice(len(positives), size=wanted, replace=False)) if wanted else []
+    return negatives + [positives[i] for i in chosen]
+
+
+STRAY = 99  # a tracklet far from every trajectory, so every frame with a CRF node is negative
+
+
+def node_labels(run_boxes, gt_boxes, params):
+    """(frame, tracklet) -> gold label of every would-be CRF node but the stray.
+
+    run_boxes and gt_boxes are (frame, id, left, top, width, height) rows
+    with scores 0.9 and 1. The stray runs on every frame, so no frame is
+    subsampled away. Both labellers must agree.
+    """
+    last = max(row[0] for row in run_boxes)
+    run_boxes = run_boxes + [(f, STRAY, 1500.0, 900.0, 10.0, 10.0) for f in range(1, last + 1)]
+    track_run = TrackFile(sorted(TrackRecord(*row, 0.9) for row in run_boxes))
+    ground_truth = TrackFile(sorted(TrackRecord(*row, 1.0) for row in gt_boxes))
+    labels = []
+    for labeller in (generate_dataset, scalar_generate_dataset):
+        samples = labeller(track_run, ground_truth, params, TrainConfig(), CTX)
+        assert all(s.gold[STRAY] == 0 for s in samples)
+        labels.append({(s.frame, tid): g for s in samples for tid, g in s.gold.items()
+                       if tid != STRAY})
+    assert labels[0] == labels[1]
+    return labels[0]
+
+
+def still(tid, left, frames, width=10.0, height=10.0):
+    return [(f, tid, left, 0.0, width, height) for f in frames]
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("left_2, left_5", [(2.0, -2.0), (-2.0, 2.0)])
+    def test_equal_ious_go_to_the_smaller_gt_id(self, table_params, left_2, left_5):
+        # The run box overlaps GT 2 and GT 5 by 80 of 120 px2 each; GT 2 leaves on frame 4.
+        assert iou(Box(0, 0, 10, 10), Box(left_2, 0, 10, 10)) \
+            == iou(Box(0, 0, 10, 10), Box(left_5, 0, 10, 10))
+        gt = still(2, left_2, range(1, 4)) + still(2, 300.0, [4]) + still(5, left_5, range(1, 5))
+        assert node_labels(still(1, 0.0, range(1, 5)), gt, table_params) \
+            == {(3, 1): 1, (4, 1): 0}
+
+    def test_larger_gt_id_with_larger_iou_wins(self, table_params):
+        # IoU 70/130 with GT 2 and 90/110 with GT 5; GT 5 leaves on frame 4.
+        gt = still(2, 3.0, range(1, 5)) + still(5, -1.0, range(1, 4)) + still(5, 300.0, [4])
+        assert node_labels(still(1, 0.0, range(1, 5)), gt, table_params) \
+            == {(3, 1): 1, (4, 1): 0}
+
+    @pytest.mark.parametrize("height, gold", [(20.0, 1), (20.01, 0)])
+    def test_iou_of_exactly_one_half_counts(self, table_params, height, gold):
+        # A 10x10 run box inside a 10x20 trajectory covers half of it.
+        assert (iou(Box(0, 0, 10, 10), Box(0, 0, 10, height)) >= 0.5) == bool(gold)
+        gt = still(1, 0.0, range(1, 4), height=height)
+        assert node_labels(still(1, 0.0, range(1, 4)), gt, table_params) == {(3, 1): gold}
+
+    def test_gone_trajectory_and_frame_without_ground_truth_give_gold_0(self, table_params):
+        # Trajectory 1 ends after frame 3; frame 4 holds only trajectory 2, frame 5 none.
+        gt = still(1, 0.0, range(1, 4)) + still(2, 500.0, [4])
+        assert node_labels(still(1, 0.0, range(1, 6)), gt, table_params) \
+            == {(3, 1): 1, (4, 1): 0, (5, 1): 0}
+
+    def test_tracklet_back_after_a_gap_picks_its_owner_again(self, table_params):
+        # Tracklet 1 covers trajectory 1, skips frame 4, then covers trajectory 2.
+        run_boxes = still(1, 0.0, range(1, 4)) + still(1, 300.0, range(5, 8))
+        gt = still(1, 0.0, range(1, 8)) + still(2, 300.0, range(1, 8))
+        assert node_labels(run_boxes, gt, table_params) == {(3, 1): 1, (7, 1): 1}
+
+
+@pytest.mark.parametrize("targets, seed", [(8, 3), (8, 12), (20, 7)])
+def test_saved_dataset_equals_scalar_reference(tmp_path, table_params, targets, seed):
+    # Battery and crowd scenarios, with the threshold run and the raw hypotheses as runs.
+    spec = ScenarioSpec(num_frames=130, num_targets=targets, camera_pan=(0.0, 0.8),
+                        noise_std=0.1, seed=seed,
+                        drift_events=[DriftEvent(18, 0, 1), DriftEvent(44, 2, 3),
+                                      DriftEvent(70, 4, 5), DriftEvent(96, 6, 7)])
+    hyp, gt, ctx = generate_scenario(spec)
+    config = TrainConfig(shuffle_seed=seed)
+    for track_run in (run(hyp, table_params, ctx, mode="threshold-only"), hyp):
+        samples = generate_dataset(track_run, gt, table_params, config, ctx)
+        assert samples
+        save_dataset(tmp_path / "new.jsonl", samples)
+        save_dataset(tmp_path / "scalar.jsonl",
+                     scalar_generate_dataset(track_run, gt, table_params, config, ctx))
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "scalar.jsonl").read_bytes()
 
 
 class TestNegativeFlag:
