@@ -165,6 +165,7 @@ def _cmd_check_gradients(args) -> int:
     samples = training.load_dataset(args.dataset)
     if not samples:
         raise FormatError(f"dataset {args.dataset} holds no samples")
+    training._fill_tables(samples, params)
     worst = max(training.finite_diff_check(params, sample, args.h) for sample in samples)
     print(f"samples={len(samples)} h={args.h} max_relative_error={worst:.3e}")
     return 0

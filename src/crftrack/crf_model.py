@@ -132,15 +132,22 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
     pair_phi = np.zeros((len(i), 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         pair_phi[:, 1, 1] = keep_keep_penalties(nodes, i, j, fp, ctx)
+    check_features(nodes, unary_phi, pair_phi[:, 1, 1])
+    return nodes, unary_phi, pair_phi, bypass_active, bypass_inactive
+
+
+def check_features(nodes, unary_phi, keep_keep):
+    """Raise NumericalError naming the tracklets of the first feature that is not finite.
+
+    unary_phi is the nodes' (n, 2) table; keep_keep the pair feature of pair_ends(n).
+    """
     if not np.isfinite(unary_phi).all():
         v = np.argmin(np.isfinite(unary_phi).all(axis=1))
         raise NumericalError(f"non-finite unary feature of tracklet {nodes[v].tracklet_id}")
-    if not np.isfinite(pair_phi).all():
-        k = np.argmin(np.isfinite(pair_phi[:, 1, 1]))
+    if not np.isfinite(keep_keep).all():
+        i, j = pair_ends(len(nodes))[np.argmin(np.isfinite(keep_keep))]
         raise NumericalError(f"non-finite pairwise feature of tracklets "
-                             f"{nodes[i[k]].tracklet_id} and {nodes[j[k]].tracklet_id}")
-
-    return nodes, unary_phi, pair_phi, bypass_active, bypass_inactive
+                             f"{nodes[i].tracklet_id} and {nodes[j].tracklet_id}")
 
 
 def graph_from_features(unary_phi, pair_phi, theta_u, theta_b) -> FactorGraph:

@@ -7,7 +7,14 @@ comparable.
 
 `keep_keep_penalties` is the pairwise feature: the penalty of jointly
 keeping two tracklets, for many pairs at once, by broadcasting the
-per-window helpers' results. Every other label pair costs 0.
+per-window helpers' results through `pair_penalties`. Every other label
+pair costs 0.
+
+Two paths compute the same values bit for bit. Tracking calls the
+per-window helpers, one frame at a time; training calls `window_features`,
+their array form, once over the node windows of a whole dataset, and the
+same `pair_penalties`. On one frame of up to 10 nodes the array form's fixed
+numpy cost outweighs what it saves, so each caller keeps its own path.
 """
 
 from __future__ import annotations
@@ -191,15 +198,24 @@ def keep_keep_penalties(windows, i, j, params: FeatureParams,
                         ctx: FrameContext) -> np.ndarray:
     """Pairwise feature of jointly keeping windows[i[k]] and windows[j[k]], for every k.
 
-    The squared difference of the velocity changes, weighted by
-    tau = 1/(h_i + h_j) with current-frame heights, plus beta times the
-    height-change-rate difference. The height term is trusted (kappa = 1)
-    only when both current boxes are fully visible. Each window's kinematics
-    are computed once, however many pairs it is in.
+    The per-window helpers give each window's kinematics once, however many
+    pairs it is in; `pair_penalties` combines them.
     """
     kinematics = np.array([(*velocity_change(w, ctx), height_change_rate(w, ctx, params),
                             w.boxes[-1].height, boundary_flag(w.boxes[-1], ctx))
                            for w in windows], dtype=float).reshape(-1, 5)
+    return pair_penalties(kinematics, i, j, params)
+
+
+def pair_penalties(kinematics, i, j, params: FeatureParams) -> np.ndarray:
+    """Keep-keep penalty of the windows i[k] and j[k] from their kinematics rows.
+
+    A row is (dvx, dvy, height change rate, current height, inside flag).
+    The penalty is the squared difference of the velocity changes, weighted
+    by tau = 1/(h_i + h_j) with current-frame heights, plus beta times the
+    height-change-rate difference. The height term is trusted (kappa = 1)
+    only when both current boxes are fully visible.
+    """
     dvx, dvy, dl, height, inside = kinematics.T
     tau = 1.0 / (height[i] + height[j])
     # float_power squares with C pow, like Python's ** on floats; numpy's **
@@ -211,3 +227,42 @@ def keep_keep_penalties(windows, i, j, params: FeatureParams,
     kappa = (inside[i] * inside[j]) == 1.0
     value[kappa] += params.beta * np.abs(dl[i[kappa]] - dl[j[kappa]])
     return value
+
+
+def window_features(boxes, scores, contexts, params: FeatureParams):
+    """Unary tables (N, 2) and kinematics rows (N, 5) of N three-box windows at once.
+
+    boxes is (N, 3, 4): each window's (left, top, width, height), oldest
+    first; scores is (N,); contexts is (N, 3): image width, image height and
+    frame rate. Every value repeats the per-window helpers' operations on
+    the same operands, so it equals theirs bit for bit, inf and nan
+    included; overflow is not reported here.
+    """
+    left, top, width, height = np.moveaxis(boxes, -1, 0)
+    image_width, image_height, w = contexts.T
+    with np.errstate(all="ignore"):
+        aspect = width / height
+        prev = aspect[:, 1]
+        ratio = np.divide(aspect[:, 2], prev, out=np.full(len(prev), math.inf),
+                          where=prev != 0)
+        unary = np.empty((len(scores), 2))
+        unary[:, 0] = np.abs(0.0 - scores) + np.where(scores > params.high_score_cut,
+                                                      params.alpha1, 0.0)
+        unary[:, 1] = np.abs(1.0 - scores) + params.alpha2 * np.abs(1.0 - ratio)
+
+        kinematics = np.empty((len(scores), 5))
+        for axis, (corner, size) in enumerate(((left, width), (top, height))):
+            center = corner + size / 2.0
+            velocity = w[:, None] * (center[:, 1:] - center[:, :-1])
+            kinematics[:, axis] = w * (velocity[:, 1] - velocity[:, 0])
+        h0, h1, h2 = height.T
+        dh_prev = w * (h1 - h0) / h0
+        dh_cur = w * (h2 - h1) / h1
+        sign = np.where(dh_prev < 0, -1.0, 1.0)
+        kinematics[:, 2] = w * (dh_cur - dh_prev) / (
+            sign * np.maximum(np.abs(dh_prev), params.epsilon_dl))
+        kinematics[:, 3] = h2
+        kinematics[:, 4] = ((left[:, 2] >= 0) & (top[:, 2] >= 0)
+                            & (left[:, 2] + width[:, 2] <= image_width)
+                            & (top[:, 2] + height[:, 2] <= image_height))
+    return unary, kinematics

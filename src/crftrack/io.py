@@ -47,7 +47,7 @@ class TrackFile:
 
     frame and track_id are int64 columns; left, top, width, height and score
     float64 columns. TrackFile(records) builds the columns from TrackRecord
-    rows; `records` and `by_frame()` give rows back. A frame or id outside
+    rows; `records`, `by_frame()` and `frames()` give rows back. A frame or id outside
     int64, or a row out of order, is a FormatError whose line is the row's
     position.
     """
@@ -102,11 +102,25 @@ class TrackFile:
     def __repr__(self):
         return f"TrackFile({self.records!r})"
 
-    def by_frame(self) -> dict[int, list[TrackRecord]]:
+    def _spans(self):
+        """(frame, first row, end row) of every frame, frames ascending."""
         frames, starts = np.unique(self.frame, return_index=True)
         bounds = [*starts.tolist(), len(self)]
+        return zip(frames.tolist(), bounds, bounds[1:])
+
+    def by_frame(self) -> dict[int, list[TrackRecord]]:
         records = self.records
-        return {f: records[a:b] for f, a, b in zip(frames.tolist(), bounds, bounds[1:])}
+        return {f: records[a:b] for f, a, b in self._spans()}
+
+    def frames(self):
+        """Yield (frame, rows) for every frame, ascending, without building records.
+
+        A row is (id, (left, top, width, height), score) of Python numbers.
+        """
+        boxes = zip(*(c.tolist() for c in (self.left, self.top, self.width, self.height)))
+        rows = list(zip(self.track_id.tolist(), boxes, self.score.tolist()))
+        for f, a, b in self._spans():
+            yield f, rows[a:b]
 
 
 def fixed_point(value: float, decimals: int) -> str:

@@ -26,7 +26,7 @@ import numpy as np
 # The decision kinds are re-exported: callers read them as tracker.KEPT etc.
 from .crf_model import (ACTIVE_KINDS, BYPASS, INACTIVATED_CRF,  # noqa: F401
                         INACTIVATED_THRESHOLD, KEPT, ModelParams, decide_frame)
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .factor_graph import BpConfig
 from .features import Box, FrameContext, HypothesisWindow, is_integer, is_real
 from .io import TrackFile, TrackRecord, _decode_json, round_half_up
@@ -121,19 +121,28 @@ def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
     # New detections, greedy score-descending suppression against everything
     # kept. Detections below the short-tracklet threshold never start: a
     # one-box tracklet would be inactivated by that same rule immediately.
-    kept_boxes = [d.box for d in decisions if d.decision in ACTIVE_KINDS]
+    kept = [(d.track_id, d.box) for d in decisions if d.decision in ACTIVE_KINDS]
     detections.sort(key=lambda t: (-t[2], t[0]))
     for tid, box, score in detections:
         if score < params.short_threshold:
             continue
-        if any(iou(box, other) >= NMS_IOU for other in kept_boxes):
+        if any(_overlap(frame, tid, box, *other) >= NMS_IOU for other in kept):
             continue
         state.active[tid] = HypothesisWindow(tid, (box,), score)
-        kept_boxes.append(box)
+        kept.append((tid, box))
         decisions.append(TrackletDecision(tid, box, score, KEPT))
 
     decisions.sort(key=lambda d: d.track_id)
     return state, FrameResult(frame=frame, decisions=decisions)
+
+
+def _overlap(frame, tid, box, kept_id, kept_box) -> float:
+    """metrics.iou of a detection and a kept box; its error names the frame and both ids."""
+    try:
+        return iou(box, kept_box)
+    except NumericalError:
+        raise NumericalError(f"frame {frame}: IoU of detection id {tid} {box} and kept "
+                             f"tracklet id {kept_id} {kept_box} is not finite") from None
 
 
 def run(hypotheses: TrackFile, params: ModelParams, ctx: FrameContext,
@@ -145,19 +154,18 @@ def run(hypotheses: TrackFile, params: ModelParams, ctx: FrameContext,
     collect every FrameResult; `observer(frame, windows)` is called per frame
     in CRF mode before inference.
     """
-    by_frame = hypotheses.by_frame()
     state = TrackerState()
     out = []
-    for frame in sorted(by_frame):
-        rows = [(r.track_id, r.box(), r.score) for r in by_frame[frame]]
+    for frame, rows in hypotheses.frames():
+        rows = [(tid, Box(*xywh), score) for tid, xywh, score in rows]
         state, frame_result = step(state, frame, rows, params, ctx, mode=mode,
                                    inference=inference, bp=bp, observer=observer)
         if results is not None:
             results.append(frame_result)
         for d in frame_result.decisions:
             if d.decision in ACTIVE_KINDS:
-                out.append(TrackRecord(frame, d.track_id, d.box.left, d.box.top,
-                                       d.box.width, d.box.height, d.score))
+                out.append((frame, d.track_id, d.box.left, d.box.top,
+                            d.box.width, d.box.height, d.score))
     return TrackFile(out)
 
 

@@ -12,6 +12,10 @@ feature sums (phi_u, phi_b) of all its labelings, built once from the feature
 tables, with no factor graph: its columns are the unary form c + a.y and the
 pair form y'Qy on exact inference's labeling grid. log Z is a log-sum-exp of
 -Phi theta, and the gradient is E_p[Phi] - Phi[gold].
+
+The feature tables of all uncached samples come from one array pass
+(`_fill_tables`); tracking's per-frame crf_model.compute_feature_tables gives
+the same values bit for bit and is the tests' reference.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .crf_model import ModelParams, compute_feature_tables, pair_ends, split_frame, with_weights
+from .crf_model import ModelParams, check_features, pair_ends, split_frame, with_weights
 from .errors import FormatError, NumericalError, ValidationError
 from .factor_graph import _check_capacity, _energy_grid
-from .features import FrameContext, HypothesisWindow, is_integer
+from .features import (Box, FrameContext, HypothesisWindow, is_integer, pair_penalties,
+                       window_features)
 from .io import TrackFile, _decode_json, frame_from_json, frame_to_json
 from .metrics import _walk
 
@@ -73,27 +78,86 @@ class TrainingSample:
         Row m of Phi is (phi_u, phi_b) of the labeling whose bit v is node v's label.
         """
         key = _table_key(params)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        nodes, unary_phi, pair_phi, _, _ = compute_feature_tables(
-            self.windows, params, self.ctx)
+        if key not in self._cache:
+            _fill_tables([self], params)
+        return self._cache[key]
+
+
+def _fill_tables(samples, params: ModelParams):
+    """Cache (Phi, Phi[gold]) for every sample that lacks them, from one feature pass.
+
+    Raises the error of the first failing sample in order, as building the
+    tables sample by sample would: split_frame's, a non-finite feature
+    naming its tracklets, gold labels that do not cover the nodes, or
+    CapacityError before Phi is allocated. The samples before it keep
+    their tables.
+    """
+    key = _table_key(params)
+    todo, node_lists, failure = [], [], None
+    for sample in samples:
+        if key in sample._cache:
+            continue
+        try:
+            nodes, _, _ = split_frame(sample.windows, params)
+        except ValidationError as exc:
+            failure = exc
+            break
+        todo.append(sample)
+        node_lists.append(nodes)
+    if todo:
+        _build_tables(todo, node_lists, params, key)
+    if failure is not None:
+        raise failure
+
+
+def _build_tables(samples, node_lists, params: ModelParams, key):
+    """_fill_tables' work on samples whose CRF nodes are node_lists.
+
+    The node windows of all samples go through features.window_features and
+    features.pair_penalties at once, with pairs indexed across the samples;
+    each sample's Phi then comes from its own two energy grids.
+    """
+    counts = np.array([len(nodes) for nodes in node_lists], dtype=np.intp)
+    windows = [w for nodes in node_lists for w in nodes]
+    boxes = np.array([v for w in windows for b in w.boxes
+                      for v in (b.left, b.top, b.width, b.height)], dtype=float).reshape(-1, 3, 4)
+    contexts = np.repeat([(s.ctx.image_width, s.ctx.image_height, s.ctx.frame_rate)
+                          for s in samples], counts, axis=0).astype(float)
+    fp = params.features
+    unary, kinematics = window_features(boxes, np.array([w.score for w in windows], dtype=float),
+                                        contexts, fp)
+    window_bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    i, j = np.concatenate([pair_ends(n) + start for n, start
+                           in zip(counts.tolist(), window_bounds)]).T
+    with np.errstate(all="ignore"):  # reported by check_features
+        keep_keep = pair_penalties(kinematics, i, j, fp)
+    pair_counts = counts * (counts - 1) // 2
+    pair_bounds = np.concatenate([[0], np.cumsum(pair_counts)]).tolist()
+    # The first sample with a feature that is not finite raises when the loop reaches it.
+    owner = np.arange(len(samples))
+    bad = np.concatenate([np.repeat(owner, counts)[~np.isfinite(unary).all(axis=1)],
+                          np.repeat(owner, pair_counts)[~np.isfinite(keep_keep)]])
+    first_bad = bad.min() if bad.size else -1
+
+    for s, (sample, nodes) in enumerate(zip(samples, node_lists)):
+        unary_phi = unary[window_bounds[s]:window_bounds[s + 1]]
+        pair_phi = keep_keep[pair_bounds[s]:pair_bounds[s + 1]]
+        if s == first_bad:
+            check_features(nodes, unary_phi, pair_phi)
         node_ids = [w.tracklet_id for w in nodes]
-        if set(node_ids) != set(self.gold):
+        if set(node_ids) != set(sample.gold):
             raise ValidationError(
-                f"gold labels {sorted(self.gold)} do not cover the CRF nodes {node_ids}")
-        n = len(node_ids)
+                f"gold labels {sorted(sample.gold)} do not cover the CRF nodes {node_ids}")
+        n = len(nodes)
         _check_capacity(n)
-        i, j = pair_ends(n).T
-        q = np.bincount(i * n + j, pair_phi[:, 1, 1], minlength=n * n).reshape(n, n)
+        pi, pj = pair_ends(n).T
+        q = np.bincount(pi * n + pj, pair_phi, minlength=n * n).reshape(n, n)
         phi = np.empty((1 << n, 2))
         phi[:, 0] = _energy_grid(n, unary_phi[:, 0].sum(), unary_phi[:, 1] - unary_phi[:, 0],
                                  None).ravel()
         phi[:, 1] = _energy_grid(n, 0.0, None, q).ravel()
-        gold = sum(self.gold[tid] << v for v, tid in enumerate(node_ids))
-        value = (phi, phi[gold].copy())
-        self._cache[key] = value
-        return value
+        gold = sum(sample.gold[tid] << v for v, tid in enumerate(node_ids))
+        sample._cache[key] = (phi, phi[gold].copy())
 
 
 @dataclass
@@ -117,6 +181,7 @@ def log_likelihood(params: ModelParams, samples) -> float:
     Weights whose energies overflow float range give a non-finite value, not
     a numpy warning.
     """
+    _fill_tables(samples, params)
     theta = np.array([params.theta_u, params.theta_b])
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,7 +284,7 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
     CRF node is gold-0 are negatives; positive_ratio times as many
     all-correct frames are drawn with the shuffle seed.
     """
-    run_frames = track_run.by_frame()
+    run_frames = track_run.frames()
     windows_by_id: dict[int, HypothesisWindow] = {}
     last_frame: dict[int, int] = {}
     owners: dict[int, int | None] = {}
@@ -231,20 +296,20 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
         covered = {(gid, tid) for _, gid, tid in hits}
         # Sorted so each tracklet's last hit is its best, of equal IoUs the smaller GT id.
         best = {tid: gid for _, gid, tid in sorted(hits, key=lambda h: (h[0], -h[1]))}
-        for rec in run_frames[frame]:
-            tid = rec.track_id
+        _, rows = next(run_frames)  # _walk visits every run frame, in the same order
+        for tid, xywh, score in rows:
             try:
                 # A tracklet missing from the previous frame restarts its history.
                 if last_frame.get(tid) != frame - 1:
-                    windows_by_id[tid] = HypothesisWindow(tid, (rec.box(),), rec.score)
+                    windows_by_id[tid] = HypothesisWindow(tid, (Box(*xywh),), score)
                     owners[tid] = best.get(tid)
                 else:
-                    windows_by_id[tid] = windows_by_id[tid].extended(rec.box(), rec.score)
+                    windows_by_id[tid] = windows_by_id[tid].extended(Box(*xywh), score)
             except ValidationError as exc:
                 raise ValidationError(f"run {sequence_id}, frame {frame}, tracklet {tid}: {exc}")
             last_frame[tid] = frame
 
-        windows = [windows_by_id[rec.track_id] for rec in run_frames[frame]]
+        windows = [windows_by_id[tid] for tid, _, _ in rows]
         nodes, _, _ = split_frame(windows, params)
         if not nodes:
             continue

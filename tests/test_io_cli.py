@@ -509,7 +509,9 @@ class TestCli:
                      "--out", str(workdir / "out.txt")])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: IoU of Box(") and err.endswith("is not finite\n")
+        assert err.startswith("error: frame 1: IoU of detection id 2 Box(")
+        assert "kept tracklet id 1 Box(" in err and err.endswith("is not finite\n")
+        assert not (workdir / "out.txt").exists()
 
     @pytest.mark.parametrize("box", ["0,0,1e-200,1e-200", "1e308,0,1e308,10"])
     def test_train_non_finite_iou_exit_code(self, workdir, capsys, box):

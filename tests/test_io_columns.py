@@ -237,6 +237,9 @@ class TestTrackFile:
         assert track.score.dtype == np.float64
         assert track.by_frame() == {1: rows[:1], 2: rows[1:]}
         assert all(type(v) is int for r in track.records for v in r[:2])
+        assert list(track.frames()) == [(1, [(2, (0.5, 1.5, 3.0, 4.0), 0.9)]),
+                                        (2, [(-1, (0.0, 0.0, 1.0, 1.0), 1.0)])]
+        assert list(TrackFile().frames()) == []
         assert TrackFile(rows) == track != TrackFile(rows[:1])
 
     def test_record_id_outside_int64_is_a_format_error(self):

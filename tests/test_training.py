@@ -8,11 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crftrack import cli, crf_model, io, training
+from crftrack import cli, crf_model, features, io, training
 from crftrack.crf_model import (ModelParams, compute_feature_tables, default_params,
                                 graph_from_features, pair_ends, save_params, split_frame,
                                 with_weights)
-from crftrack.errors import CapacityError, ValidationError
+from crftrack.errors import CapacityError, NumericalError, ValidationError
 from crftrack.factor_graph import exact_inference, labeling_energies
 from crftrack.features import Box, FrameContext, HypothesisWindow
 from crftrack.io import TrackFile, TrackRecord, frame_from_json, frame_to_json
@@ -109,7 +109,7 @@ class TestGenerateDataset:
         def fail(*args, **kwargs):
             raise AssertionError("generate_dataset computed feature tables")
 
-        monkeypatch.setattr("crftrack.training.compute_feature_tables", fail)
+        monkeypatch.setattr("crftrack.training._fill_tables", fail)
         samples, _ = scenario_dataset(seed=207)
         assert [(s.frame, s.windows, s.gold) for s in samples] \
             == [(s.frame, s.windows, s.gold) for s in expected]
@@ -457,6 +457,164 @@ class TestPhiMatchesFactorGraphReference:
             == (expected.params.theta_u, expected.params.theta_b)
 
 
+def boxes_window(tid, boxes, score=0.9):
+    return HypothesisWindow(tracklet_id=tid, boxes=tuple(Box(*b) for b in boxes), score=score)
+
+
+# A previous box whose aspect ratio underflows to 0: the keep feature is infinite.
+UNDERFLOWED_ASPECT = [(100.0, 100.0, 40.0, 100.0), (100.0, 100.0, 1e-30, 1e300),
+                      (100.0, 100.0, 40.0, 100.0)]
+# An accelerating box: at 1e200 fps its velocity change overflows.
+ACCELERATING = [(100.0, 100.0, 40.0, 100.0), (104.0, 100.0, 40.0, 100.0),
+                (110.0, 100.0, 40.0, 100.0)]
+
+
+def failing_samples():
+    """One sample per way building tables can fail, with the error it raises."""
+    def sample(windows, gold, ctx=CTX):
+        return TrainingSample(windows=windows, ctx=ctx, gold=gold, sequence="unit", frame=1)
+
+    steady = [steady_window(1, 0.9), steady_window(2, 0.8, x=500.0)]
+    crowd = [steady_window(tid, 0.5 + 0.01 * tid, x=45.0 * tid) for tid in range(40)]
+    return {
+        "unary": (sample([boxes_window(7, UNDERFLOWED_ASPECT), steady_window(8, 0.8, x=500.0)],
+                         {7: 0, 8: 1}),
+                  NumericalError, "non-finite unary feature of tracklet 7"),
+        "pair": (sample([boxes_window(3, ACCELERATING), steady_window(4, 0.8, x=500.0)],
+                        {3: 1, 4: 1}, FrameContext(1920, 1080, 1e200)),
+                 NumericalError, "non-finite pairwise feature of tracklets 3 and 4"),
+        "gold": (sample(steady, {1: 1}),
+                 ValidationError, "gold labels [1] do not cover the CRF nodes [1, 2]"),
+        "duplicate": (sample([steady_window(5, 0.9), steady_window(5, 0.8)], {5: 1}),
+                      ValidationError, "duplicate tracklet ids in frame"),
+        "capacity": (sample(crowd, {tid: 1 for tid in range(40)}), CapacityError,
+                     "exact inference enumerates 2**K labelings; K=40 exceeds 20, "
+                     "so use loopy-bp"),
+    }
+
+
+class TestDatasetPassErrors:
+    """The dataset pass raises what building tables sample by sample raised."""
+
+    @pytest.mark.parametrize("first", ("unary", "pair", "gold", "duplicate", "capacity"))
+    def test_first_failing_sample_in_order_raises(self, table_params, first):
+        params = dataclasses.replace(table_params, node_budget=40)
+        failing = failing_samples()
+        bad, error, message = failing.pop(first)
+        valid = [single_node_sample(), crowded_sample(3)]
+        later = [s for s, _, _ in failing.values()] + [single_node_sample()]
+        with pytest.raises(error) as raised:
+            log_likelihood(params, valid + [bad] + later)
+        assert str(raised.value) == message
+        key = training._table_key(params)
+        for sample in valid:
+            expected, expected_gold = reference_tables(params, sample)
+            phi, phi_gold = sample._cache[key]
+            assert np.array_equal(phi, expected) and np.array_equal(phi_gold, expected_gold)
+        assert not any(s._cache for s in [bad] + later)
+
+    def test_over_capacity_after_valid_samples_allocates_no_phi(self, table_params):
+        params = dataclasses.replace(table_params, node_budget=40)
+        capacity, _, message = failing_samples()["capacity"]
+        samples = [single_node_sample(), crowded_sample(3), empty_node_sample(), capacity]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as raised:
+                log_likelihood(params, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert str(raised.value) == message
+        assert all(s._cache for s in samples[:3]) and not capacity._cache
+
+
+FUZZ_CONTEXTS = (FrameContext(1920.0, 1080.0, 5.0), FrameContext(640.0, 480.0, 14.0))
+
+
+def fuzz_sample(rng, frame):
+    """A seeded sample of either context with 0, 1, 2-10 or 11-14 CRF nodes and two
+    bypassed windows; boxes may straddle the image edge."""
+    ctx = FUZZ_CONTEXTS[rng.integers(2)]
+    n = int(rng.choice([0, 1, rng.integers(2, 11), rng.integers(11, 15)]))
+    windows = []
+    for tid in range(n):
+        left = rng.uniform(-30.0, ctx.image_width - 10.0)
+        top = rng.uniform(-30.0, ctx.image_height - 40.0)
+        width, height = rng.uniform(10.0, 80.0), rng.uniform(30.0, 200.0)
+        boxes = []
+        for _ in range(3):
+            boxes.append((left, top, width, height))
+            left, top = left + rng.normal(0.0, 4.0), top + rng.normal(0.0, 2.0)
+            width, height = width * rng.uniform(0.97, 1.03), height * rng.uniform(0.97, 1.03)
+        windows.append(boxes_window(tid, boxes, score=rng.uniform(0.4, 1.0)))
+    windows.append(boxes_window(100, [(10.0, 10.0, 20.0, 50.0)], score=0.7))
+    windows.append(boxes_window(101, [(10.0, 10.0, 20.0, 50.0)] * 3, score=0.1))
+    gold = {tid: int(rng.integers(2)) for tid in range(n)}
+    return TrainingSample(windows=windows, ctx=ctx, gold=gold, sequence="fuzz", frame=frame)
+
+
+def edge_samples():
+    """Windows on the edge cases of the per-window helpers whose features stay finite."""
+    # At 0.1 fps the growth 0.1 * (5e-324 - 1e-323) / 1e-323 underflows to -0.0,
+    # whose sign the height-change rate takes as +1.
+    shrinking = [(100.0, 100.0, h, h) for h in (1e-323, 5e-324, 5e-324)]
+    straddling = [(-5.0, 100.0, 40.0, 100.0), (1900.0, 100.0, 40.0, 100.0),
+                  (100.0, 1000.0, 40.0, 100.0)]
+    touching = [(1870.0, 970.0, 40.0, 100.0), (1875.0, 975.0, 40.0, 100.0),
+                (1880.0, 980.0, 40.0, 100.0)]  # inside: right edge 1920, bottom 1080
+    windows = [boxes_window(1, shrinking), boxes_window(2, straddling, score=0.6),
+               steady_window(3, 0.7, x=800.0), boxes_window(4, touching, score=0.5)]
+    return [TrainingSample(windows=windows, ctx=ctx, gold={1: 1, 2: 0, 3: 1, 4: 0},
+                           sequence="edge", frame=1)
+            for ctx in (FrameContext(1920.0, 1080.0, 0.1), CTX)]
+
+
+def same_bits(a, b):
+    """Equal values, nan where nan, and the same sign on every zero."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestDatasetPassOracle:
+    """Seeded datasets through the dataset pass against the scalar reference."""
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_seeded_dataset_matches_reference_tables(self, table_params, case):
+        params = dataclasses.replace(table_params, node_budget=14)
+        rng = np.random.default_rng(case)
+        samples = [fuzz_sample(rng, frame) for frame in range(8)] + edge_samples()
+        log_likelihood(params, samples)
+        for sample in samples:
+            phi, phi_gold = sample.tables(params)
+            expected, expected_gold = reference_tables(params, sample)
+            assert same_bits(phi, expected) and same_bits(phi_gold, expected_gold)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_window_features_equal_the_scalar_helpers(self, table_params, case):
+        rng = np.random.default_rng(case)
+        fp = table_params.features
+        pairs = [(w, s.ctx) for s in [fuzz_sample(rng, 0) for _ in range(6)] + edge_samples()
+                 for w in s.windows if len(w.boxes) == 3]
+        pairs.append((boxes_window(9, UNDERFLOWED_ASPECT), CTX))
+        both_underflowed = UNDERFLOWED_ASPECT[:2] + UNDERFLOWED_ASPECT[1:2]
+        pairs.append((boxes_window(10, both_underflowed), CTX))  # inf, not 0 / 0
+        pairs.append((boxes_window(11, ACCELERATING), FrameContext(1920, 1080, 1e200)))
+        boxes = np.array([[(b.left, b.top, b.width, b.height) for b in w.boxes]
+                          for w, _ in pairs])
+        contexts = np.array([(c.image_width, c.image_height, c.frame_rate) for _, c in pairs])
+        unary, kinematics = features.window_features(
+            boxes, np.array([w.score for w, _ in pairs]), contexts, fp)
+        assert same_bits(unary, np.array([[features.unary_feature(w, 0, fp),
+                                           features.unary_feature(w, 1, fp)]
+                                          for w, _ in pairs]))
+        assert same_bits(kinematics, np.array(
+            [(*features.velocity_change(w, c), features.height_change_rate(w, c, fp),
+              w.boxes[-1].height, features.boundary_flag(w.boxes[-1], c)) for w, c in pairs],
+            dtype=float))
+        assert np.isinf(unary[-3:-1, 1]).all() and np.isinf(kinematics[-1, 0])
+
+
 def test_cli_train_reaches_layer_functions_through_module_attributes(tmp_path, monkeypatch):
     """Each training function the benchmark wraps in a span is called through its module.
 
@@ -489,7 +647,8 @@ def test_cli_train_reaches_layer_functions_through_module_attributes(tmp_path, m
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "crftrack"]
     for module, name in ((training, "log_likelihood"), (training, "gradient"),
                          (crf_model, "compute_feature_tables"),
-                         (crf_model, "graph_from_features")):
+                         (crf_model, "graph_from_features"),
+                         (features, "window_features")):
         count(name, modules, getattr(module, name))
     assert cli.main(["train", "--runs", str(tmp_path / "runs"), "--gt", str(tmp_path / "gt"),
                      "--params-init", str(tmp_path / "params.txt"), "--epochs", "1",
@@ -497,8 +656,10 @@ def test_cli_train_reaches_layer_functions_through_module_attributes(tmp_path, m
                      "--out-dataset", str(tmp_path / "dataset.txt")]) == 0
     n = len(load_dataset(tmp_path / "dataset.txt"))
     assert n > 0
-    # Training builds no factor graph, so graph_from_features is not reached.
-    assert calls == {"compute_feature_tables": n, "tables": 3 * n, "gradient": n,
+    # Training builds no factor graph and no per-sample feature tables, so
+    # graph_from_features and compute_feature_tables are not reached: one
+    # feature pass over the dataset fills every sample's tables.
+    assert calls == {"window_features": 1, "tables": 3 * n, "gradient": n,
                      "log_likelihood": 2}
 
 
