@@ -1,7 +1,7 @@
 """Command-line surface tying the modules into runnable workflows.
 
 Exit codes: 0 success, 2 format/validation error, 3 numerical error,
-4 capacity error.
+4 capacity error (a size bound, or an allocation that fails).
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ _HANDLERS = {
 }
 
 
-def exit_code_for(exc: CrfTrackError) -> int:
-    if isinstance(exc, CapacityError):
+def exit_code_for(exc: CrfTrackError | MemoryError) -> int:
+    if isinstance(exc, (CapacityError, MemoryError)):  # a size the input asks for
         return 4
     if isinstance(exc, NumericalError):
         return 3
@@ -193,8 +193,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except CrfTrackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CrfTrackError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return exit_code_for(exc)
     except (OSError, UnicodeDecodeError) as exc:
         # Every reader opens its input as ASCII text.

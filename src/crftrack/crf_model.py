@@ -5,8 +5,8 @@ score and history thresholds; of the remaining candidates at most
 `node_budget` of the lowest-scoring ones become CRF nodes (confident
 tracklets need no joint reasoning) and the rest stay active without
 entering the graph. The graph has one variable per CRF node and one
-pair factor per pair of nodes, in the order `pair_ends` fixes; all pair
-tables are computed together as one (P, 2, 2) array. `decide_frame` is the
+pair factor per pair of nodes, in the order `pair_ends` fixes; the pair feature
+is one keep-keep column (graph_from_features pads it). `decide_frame` is the
 one path from a frame's windows to its decisions: it assembles the graph,
 takes its MAP labels from `factor_graph.infer`, and maps labels and
 bypasses to decision kinds.
@@ -120,8 +120,8 @@ def split_frame(windows, params: ModelParams):
 def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
     """split_frame's split of the windows, plus the feature tables of its nodes.
 
-    Returns (nodes, unary_phi, pair_phi, bypass_active, bypass_inactive);
-    unary_phi has shape (n, 2) and pair_phi (P, 2, 2), for the pairs of pair_ends(n).
+    Returns (nodes, unary_phi, keep_keep, bypass_active, bypass_inactive);
+    unary_phi has shape (n, 2) and keep_keep (P,), for the pairs of pair_ends(n).
     Raises NumericalError naming the tracklets of a feature that overflowed.
     """
     nodes, bypass_active, bypass_inactive = split_frame(windows, params)
@@ -129,11 +129,10 @@ def compute_feature_tables(windows, params: ModelParams, ctx: FrameContext):
     unary_phi = np.array([[unary_feature(w, 0, fp), unary_feature(w, 1, fp)] for w in nodes],
                          dtype=float).reshape(-1, 2)
     i, j = pair_ends(len(nodes)).T
-    pair_phi = np.zeros((len(i), 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        pair_phi[:, 1, 1] = keep_keep_penalties(nodes, i, j, fp, ctx)
-    check_features(nodes, unary_phi, pair_phi[:, 1, 1])
-    return nodes, unary_phi, pair_phi, bypass_active, bypass_inactive
+        keep_keep = keep_keep_penalties(nodes, i, j, fp, ctx)
+    check_features(nodes, unary_phi, keep_keep)
+    return nodes, unary_phi, keep_keep, bypass_active, bypass_inactive
 
 
 def check_features(nodes, unary_phi, keep_keep):
@@ -150,29 +149,31 @@ def check_features(nodes, unary_phi, keep_keep):
                              f"{nodes[i].tracklet_id} and {nodes[j].tracklet_id}")
 
 
-def graph_from_features(unary_phi, pair_phi, theta_u, theta_b) -> FactorGraph:
+def graph_from_features(unary_phi, keep_keep, theta_u, theta_b) -> FactorGraph:
     """Energy graph E = theta * phi over the CRF nodes.
 
+    Pair k's 2x2 table is theta_b * keep_keep[k] at labels (1, 1) and 0 elsewhere.
     Raises NumericalError naming the weight whose energies overflowed.
     """
     n = unary_phi.shape[0]
+    tables = np.zeros((len(keep_keep), 2, 2))
     weight = "theta_u"
     try:
         # Trapping the overflow costs less than testing the products for infinity.
         with np.errstate(over="raise"):
             unary = theta_u * unary_phi
             weight = "theta_b"
-            pair = theta_b * pair_phi
+            tables[:, 1, 1] = theta_b * keep_keep
     except FloatingPointError:
         raise NumericalError(f"energies of weight {weight} overflow float range") from None
-    return FactorGraph(n, unary, pair_ends(n), pair)
+    return FactorGraph(n, unary, pair_ends(n), tables)
 
 
 def assemble_frame_graph(windows, params: ModelParams, ctx: FrameContext) -> FrameAssembly:
     """Build the CRF for one frame of tracking hypotheses."""
-    nodes, unary_phi, pair_phi, bypass_active, bypass_inactive = \
+    nodes, unary_phi, keep_keep, bypass_active, bypass_inactive = \
         compute_feature_tables(windows, params, ctx)
-    graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b)
+    graph = graph_from_features(unary_phi, keep_keep, params.theta_u, params.theta_b)
     return FrameAssembly(graph=graph, node_map=tuple(w.tracklet_id for w in nodes),
                          bypass_active=bypass_active, bypass_inactive=bypass_inactive)
 

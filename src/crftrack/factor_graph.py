@@ -11,9 +11,9 @@ dispatch from an inference mode name to a labeling.
 
 With binary labels the energy is a quadratic form c + a.y + y'Qy, so
 `labeling_energies` evaluates all 2**K labelings with a few matrix products
-over cached labeling halves, holding one number per labeling. Exact inference
-and the exact MAP of `infer` start from that grid, and training's feature sums
-come from its routine too; the MAP is its argmin alone, with no exponentials.
+over cached labeling halves, holding one number per labeling, of the form that
+`quadratic_form` builds. Exact inference, the exact MAP of `infer` (the grid's
+argmin alone, with no exponentials) and training's feature sums start there.
 
 Belief propagation keeps its messages as normalized log-probabilities, so an
 energy table whose exp(-E) underflows to zero still passes a finite message;
@@ -151,21 +151,27 @@ def _labeling_half(num_vars):
     return half
 
 
-def _quadratic_form(graph):
+def quadratic_form(unary, ends, keep_keep):
     """(c, a, Q) with E(y) = c + a.y + y'Qy; Q[i, j] is non-zero only for pairs i < j.
 
-    A 2x2 table is t00 + (t10 - t00) y_i + (t01 - t00) y_j
-    + (t11 - t10 - t01 + t00) y_i y_j in the binary labels.
+    unary is the (K, 2) unary energy array. Pair k, joining ends[k], costs
+    keep_keep[k] when both its variables take label 1 and 0 otherwise.
     """
-    n = graph.num_vars
+    n = len(unary)
+    i, j = ends.T
+    q = np.bincount(i * n + j, keep_keep, minlength=n * n).reshape(n, n)
+    return unary[:, 0].sum(), unary[:, 1] - unary[:, 0], q
+
+
+def _quadratic_form(graph):
+    """quadratic_form of a graph's 2x2 tables, each t00 + (t10 - t00) y_i
+    + (t01 - t00) y_j + (t11 - t10 - t01 + t00) y_i y_j in the binary labels.
+    """
     t00, t01, t10, t11 = graph.tables.reshape(-1, 4).T
-    i, j = graph.ends.T
-    c = graph.unary[:, 0].sum() + t00.sum()
-    a = (graph.unary[:, 1] - graph.unary[:, 0]
-         + np.bincount(np.concatenate([i, j]), np.concatenate([t10 - t00, t01 - t00]),
-                       minlength=n))
-    q = np.bincount(i * n + j, t11 - t10 - t01 + t00, minlength=n * n).reshape(n, n)
-    return c, a, q
+    c, a, q = quadratic_form(graph.unary, graph.ends, t11 - t10 - t01 + t00)
+    a = a + np.bincount(graph.ends.T.ravel(), np.concatenate([t10 - t00, t01 - t00]),
+                        minlength=graph.num_vars)
+    return c + t00.sum(), a, q
 
 
 def _half_energies(half, a, q, part):

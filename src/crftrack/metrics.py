@@ -12,7 +12,7 @@ or above the floor, the only ones that can affect either, reach Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class EvalReport:
     mt: int = 0
     ml: int = 0
     frag: int = 0
+
+
+# The fields that idf1 fills; clear_mot fills the others.
+_IDENTITY_FIELDS = ("idf1", "idp", "idr", "idtp", "idfp", "idfn")
 
 
 def _match(hits, prev_matches):
@@ -255,13 +259,7 @@ def evaluate(gt: TrackFile, hyp: TrackFile) -> EvalReport:
     """Full report combining the CLEAR counters with the identity metrics."""
     clear = clear_mot(gt, hyp)
     ident = idf1(gt, hyp)
-    clear.idf1 = ident.idf1
-    clear.idp = ident.idp
-    clear.idr = ident.idr
-    clear.idtp = ident.idtp
-    clear.idfp = ident.idfp
-    clear.idfn = ident.idfn
-    return clear
+    return replace(clear, **{name: getattr(ident, name) for name in _IDENTITY_FIELDS})
 
 
 # Report serialization. MOTP needs detector-quality localization distances
@@ -271,16 +269,10 @@ REPORT_COLUMNS = ("mota", "idf1", "idp", "idr", "motp", "fp", "fn", "ids", "gt",
 
 
 def report_values(report: EvalReport) -> dict[str, str]:
-    values = {
-        "mota": f"{report.mota:.6f}",
-        "idf1": f"{report.idf1:.6f}",
-        "idp": f"{report.idp:.6f}",
-        "idr": f"{report.idr:.6f}",
-        "motp": "na",
-    }
-    for key in ("fp", "fn", "ids", "gt", "idtp", "idfp", "idfn", "mt", "ml", "frag"):
-        values[key] = str(getattr(report, key))
-    return values
+    """Every field as text, floats to 6 decimals and counts as integers, plus motp."""
+    values = {f.name: format(getattr(report, f.name), ".6f" if isinstance(f.default, float)
+                             else "") for f in fields(EvalReport)}
+    return {**values, "motp": "na"}
 
 
 def report_text(report: EvalReport) -> str:

@@ -10,8 +10,8 @@ shared weights are trained; the feature hyperparameters stay fixed.
 Each sample enters the likelihood only through the (2**n, 2) matrix Phi of the
 feature sums (phi_u, phi_b) of all its labelings, built once from the feature
 tables, with no factor graph: its columns are the unary form c + a.y and the
-pair form y'Qy on exact inference's labeling grid. log Z is a log-sum-exp of
--Phi theta, and the gradient is E_p[Phi] - Phi[gold].
+pair form y'Qy of factor_graph.quadratic_form on exact inference's labeling
+grid. log Z is a log-sum-exp of -Phi theta; the gradient, E_p[Phi] - Phi[gold].
 
 The feature tables of all uncached samples come from one array pass
 (`_fill_tables`); tracking's per-frame crf_model.compute_feature_tables gives
@@ -29,7 +29,7 @@ import numpy as np
 
 from .crf_model import ModelParams, check_features, pair_ends, split_frame, with_weights
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import _check_capacity, _energy_grid
+from .factor_graph import _check_capacity, _energy_grid, quadratic_form
 from .features import (Box, FrameContext, HypothesisWindow, is_integer, pair_penalties,
                        window_features)
 from .io import TrackFile, _decode_json, frame_from_json, frame_to_json
@@ -115,7 +115,7 @@ def _build_tables(samples, node_lists, params: ModelParams, key):
 
     The node windows of all samples go through features.window_features and
     features.pair_penalties at once, with pairs indexed across the samples;
-    each sample's Phi then comes from its own two energy grids.
+    each sample's Phi then comes from its quadratic_form and two energy grids.
     """
     counts = np.array([len(nodes) for nodes in node_lists], dtype=np.intp)
     windows = [w for nodes in node_lists for w in nodes]
@@ -150,11 +150,9 @@ def _build_tables(samples, node_lists, params: ModelParams, key):
                 f"gold labels {sorted(sample.gold)} do not cover the CRF nodes {node_ids}")
         n = len(nodes)
         _check_capacity(n)
-        pi, pj = pair_ends(n).T
-        q = np.bincount(pi * n + pj, pair_phi, minlength=n * n).reshape(n, n)
+        c, a, q = quadratic_form(unary_phi, pair_ends(n), pair_phi)
         phi = np.empty((1 << n, 2))
-        phi[:, 0] = _energy_grid(n, unary_phi[:, 0].sum(), unary_phi[:, 1] - unary_phi[:, 0],
-                                 None).ravel()
+        phi[:, 0] = _energy_grid(n, c, a, None).ravel()
         phi[:, 1] = _energy_grid(n, 0.0, None, q).ravel()
         gold = sum(sample.gold[tid] << v for v, tid in enumerate(node_ids))
         sample._cache[key] = (phi, phi[gold].copy())

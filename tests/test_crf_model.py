@@ -6,10 +6,11 @@ import pytest
 
 from conftest import reference_enumeration
 from crftrack.crf_model import (ModelParams, assemble_frame_graph, compute_feature_tables,
-                                decide_inactivation, default_params, load_params, pair_ends,
-                                save_params)
+                                decide_inactivation, default_params, graph_from_features,
+                                load_params, pair_ends, save_params)
 from crftrack.errors import ValidationError
-from crftrack.factor_graph import BpConfig, labeling_energies
+from crftrack.factor_graph import (BpConfig, _energy_grid, _map_index, _quadratic_form,
+                                   labeling_energies, quadratic_form)
 from crftrack.features import (Box, FeatureParams, FrameContext, HypothesisWindow,
                                boundary_flag, height_change_rate, velocity_change)
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
@@ -128,13 +129,32 @@ class TestAssembly:
         windows_per_frame, ctx = frames[num_targets]
         pairs = gated = 0
         for windows in windows_per_frame:
-            nodes, _, pair_phi, _, _ = compute_feature_tables(windows, params, ctx)
-            assert np.array_equal(pair_phi, reference_pair_phi(nodes, params.features, ctx))
+            nodes, _, keep_keep, _, _ = compute_feature_tables(windows, params, ctx)
+            reference = reference_pair_phi(nodes, params.features, ctx)
+            assert np.array_equal(keep_keep, reference[:, 1, 1])
             inside = [boundary_flag(w.boxes[-1], ctx) for w in nodes]
-            pairs += len(pair_phi)
+            pairs += len(keep_keep)
             gated += sum(1 for i, j in pair_ends(len(nodes)) if not inside[i] * inside[j])
         # Both branches of the height term are exercised.
         assert 0 < gated < pairs
+
+    @pytest.mark.parametrize("num_targets", (8, 20))
+    def test_quadratic_form_equals_graph_fold(self, scenario_frames, num_targets):
+        # The keep-keep energies give the (c, a, Q) that folding the graph's
+        # 2x2 tables gives, and the same exact MAP. With theta_b < 0 a table
+        # scaled as a whole would hold -0.0 where the padding is.
+        params, frames = scenario_frames
+        windows_per_frame, ctx = frames[num_targets]
+        for theta_u, theta_b in ((params.theta_u, params.theta_b), (params.theta_u, -0.7)):
+            for windows in windows_per_frame:
+                _, unary_phi, keep_keep, _, _ = compute_feature_tables(windows, params, ctx)
+                n = len(unary_phi)
+                form = quadratic_form(theta_u * unary_phi, pair_ends(n), theta_b * keep_keep)
+                folded = _quadratic_form(graph_from_features(unary_phi, keep_keep,
+                                                             theta_u, theta_b))
+                assert all(np.array_equal(x, y) for x, y in zip(form, folded))
+                assert _map_index(_energy_grid(n, *form)) == \
+                    _map_index(_energy_grid(n, *folded))
 
     def test_pair_ends_are_cached_and_read_only(self):
         ends = pair_ends(4)

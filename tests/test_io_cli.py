@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crftrack import cli
 from crftrack.cli import exit_code_for, main
 from crftrack.errors import CapacityError, FormatError, NumericalError, ValidationError
 from crftrack.features import FrameContext
@@ -663,6 +664,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    # Each spec asks for arrays above 64 PiB, more than any x86-64 address space
+    # holds, so the allocation fails at once and reserves no memory.
+    @pytest.mark.parametrize("field", [{"num_frames": 10 ** 17}, {"num_targets": 10 ** 17}])
+    def test_unallocatable_spec_exit_code(self, workdir, capsys, field):
+        (workdir / "spec.json").write_text(json.dumps({**SPEC_JSON, **field}))
+        assert main(gen_args(workdir)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_dataset_lines_are_infer_frames(self, workdir, capsys):
         from crftrack.crf_model import decide_inactivation, load_params
         from crftrack.training import load_dataset
@@ -843,6 +853,14 @@ class TestCli:
         assert exit_code_for(ValidationError("x")) == 2
         assert exit_code_for(NumericalError("x")) == 3
         assert exit_code_for(CapacityError("x")) == 4
+        assert exit_code_for(MemoryError()) == 4
+
+    def test_bare_memory_error_names_itself(self, workdir, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError()
+        monkeypatch.setitem(cli._HANDLERS, "gen", exhausted)
+        assert main(gen_args(workdir)) == 4
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_gen_is_deterministic(self, workdir):
         assert main(gen_args(workdir, "a")) == 0

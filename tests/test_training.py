@@ -299,16 +299,17 @@ class TestGradient:
 
 def reference_terms(params, sample):
     """Log-likelihood and gradient of one sample from exact factor-graph inference."""
-    _, unary_phi, pair_phi, _, _ = compute_feature_tables(sample.windows, params, sample.ctx)
-    graph = graph_from_features(unary_phi, pair_phi, params.theta_u, params.theta_b)
+    _, unary_phi, keep_keep, _, _ = compute_feature_tables(sample.windows, params, sample.ctx)
+    graph = graph_from_features(unary_phi, keep_keep, params.theta_u, params.theta_b)
     ex = exact_inference(graph)
     gold = np.array([sample.gold[tid] for tid in sorted(sample.gold)], dtype=np.intp)
     i, j = pair_ends(len(gold)).T
     phi_u_gold = unary_phi[np.arange(len(gold)), gold].sum()
-    phi_b_gold = pair_phi[np.arange(len(i)), gold[i], gold[j]].sum()
+    # The pair feature is charged only when both ends are kept.
+    phi_b_gold = keep_keep[(gold[i] == 1) & (gold[j] == 1)].sum()
     loglik = -(params.theta_u * phi_u_gold + params.theta_b * phi_b_gold) - ex.log_partition
     grad = ((unary_phi * ex.node_marginals).sum() - phi_u_gold,
-            np.einsum("pab,pab->", pair_phi, ex.pair_beliefs) - phi_b_gold)
+            keep_keep @ ex.pair_beliefs[:, 1, 1] - phi_b_gold)
     return loglik, grad
 
 
@@ -401,9 +402,9 @@ class TestStatisticsEngine:
 
 def reference_tables(params, sample):
     """Phi from two factor graphs at theta = (1, 0) and (0, 1), kept as the bit-level reference."""
-    nodes, unary_phi, pair_phi, _, _ = compute_feature_tables(sample.windows, params, sample.ctx)
-    phi = np.stack([labeling_energies(graph_from_features(unary_phi, pair_phi, 1.0, 0.0)),
-                    labeling_energies(graph_from_features(unary_phi, pair_phi, 0.0, 1.0))],
+    nodes, unary_phi, keep_keep, _, _ = compute_feature_tables(sample.windows, params, sample.ctx)
+    phi = np.stack([labeling_energies(graph_from_features(unary_phi, keep_keep, 1.0, 0.0)),
+                    labeling_energies(graph_from_features(unary_phi, keep_keep, 0.0, 1.0))],
                    axis=-1).reshape(-1, 2)
     gold = sum(sample.gold[w.tracklet_id] << v for v, w in enumerate(nodes))
     return phi, phi[gold].copy()
