@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import crf_model, io, metrics, tracker, training
 from .errors import CapacityError, CrfTrackError, FormatError, NumericalError
-from .factor_graph import INFERENCE_MODES
+from .factor_graph import DEFAULT_INFERENCE, INFERENCE_MODES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seqinfo", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--mode", choices=("threshold", "crf"), required=True)
-    p.add_argument("--inference", choices=INFERENCE_MODES, default="loopy-bp")
+    p.add_argument("--inference", choices=INFERENCE_MODES, default=DEFAULT_INFERENCE)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-decisions", default=None)
 
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="single-frame inactivation decision")
     p.add_argument("--frame-json", required=True)
     p.add_argument("--params", required=True)
-    p.add_argument("--inference", choices=INFERENCE_MODES, default="loopy-bp")
+    p.add_argument("--inference", choices=INFERENCE_MODES, default=DEFAULT_INFERENCE)
     p.add_argument("--dump-messages", default=None,
                    help="write per-iteration BP messages (loopy-bp only)")
 

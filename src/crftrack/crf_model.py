@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import BpConfig, FactorGraph, InferenceResult, infer
+from .factor_graph import DEFAULT_INFERENCE, BpConfig, FactorGraph, InferenceResult, infer
 from .features import (FeatureParams, FrameContext, is_integer, keep_keep_penalties,
                        unary_feature)
 
@@ -179,7 +179,7 @@ def assemble_frame_graph(windows, params: ModelParams, ctx: FrameContext) -> Fra
 
 
 def decide_frame(windows, params: ModelParams, ctx: FrameContext,
-                 inference: str = "loopy-bp", bp: BpConfig | None = None,
+                 inference: str = DEFAULT_INFERENCE, bp: BpConfig | None = None,
                  trace: list | None = None) -> tuple[dict[int, str], InferenceResult]:
     """Decision kind of every tracklet in the frame, plus the CRF's inference result.
 
@@ -197,7 +197,7 @@ def decide_frame(windows, params: ModelParams, ctx: FrameContext,
 
 
 def decide_inactivation(windows, params: ModelParams, ctx: FrameContext,
-                        inference: str = "loopy-bp", bp: BpConfig | None = None,
+                        inference: str = DEFAULT_INFERENCE, bp: BpConfig | None = None,
                         trace: list | None = None) -> dict[int, int]:
     """The 0/1 view of decide_frame: 1 keeps a tracklet active, 0 inactivates it."""
     kinds, _ = decide_frame(windows, params, ctx, inference, bp, trace)

@@ -41,8 +41,10 @@ MAX_EXACT_VARS = 20
 # half has at most 2**COLUMN_VARS rows.
 COLUMN_VARS = 10
 
-# Inference modes accepted by `infer` and the CLI.
+# Inference modes accepted by `infer` and the CLI, and the one tracking and
+# the CLI use unless told otherwise.
 INFERENCE_MODES = ("exact", "loopy-bp")
+DEFAULT_INFERENCE = "loopy-bp"
 
 # Largest log-probability step of any message that loopy BP still counts as
 # converged, whatever its step in probability units.

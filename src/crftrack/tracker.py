@@ -26,8 +26,8 @@ import numpy as np
 # The decision kinds are re-exported: callers read them as tracker.KEPT etc.
 from .crf_model import (ACTIVE_KINDS, BYPASS, INACTIVATED_CRF,  # noqa: F401
                         INACTIVATED_THRESHOLD, KEPT, ModelParams, decide_frame)
-from .errors import NumericalError, ValidationError
-from .factor_graph import BpConfig
+from .errors import CapacityError, NumericalError, ValidationError
+from .factor_graph import DEFAULT_INFERENCE, BpConfig
 from .features import Box, FrameContext, HypothesisWindow, is_integer, is_real
 from .io import TrackFile, TrackRecord, _decode_json, round_half_up
 from .metrics import iou
@@ -63,7 +63,7 @@ def _inactivate(state: TrackerState, track_id: int):
 
 
 def step(state: TrackerState, frame: int, hypotheses, params: ModelParams,
-         ctx: FrameContext, mode: str = "crf", inference: str = "loopy-bp",
+         ctx: FrameContext, mode: str = "crf", inference: str = DEFAULT_INFERENCE,
          bp: BpConfig | None = None, observer=None):
     """Advance the tracker by one frame.
 
@@ -146,7 +146,7 @@ def _overlap(frame, tid, box, kept_id, kept_box) -> float:
 
 
 def run(hypotheses: TrackFile, params: ModelParams, ctx: FrameContext,
-        mode: str = "crf", inference: str = "loopy-bp", bp: BpConfig | None = None,
+        mode: str = "crf", inference: str = DEFAULT_INFERENCE, bp: BpConfig | None = None,
         results: list | None = None, observer=None) -> TrackFile:
     """Fold step over all frames of a hypothesis file.
 
@@ -215,7 +215,8 @@ class ScenarioSpec:
     def validate(self) -> FrameContext:
         """Check every field and return the frame context.
 
-        Raises ValidationError; a camera_pan of the wrong shape raises TypeError or LookupError.
+        Raises ValidationError, or CapacityError when numpy cannot hold num_frames rows;
+        a camera_pan of the wrong shape raises TypeError or LookupError.
         """
         for name in ("num_frames", "num_targets", "seed"):
             if not is_integer(getattr(self, name)):
@@ -232,7 +233,11 @@ class ScenarioSpec:
         if not segments or not all(is_integer(start) and len(rate) == 2 and all(map(is_real, rate))
                                    for start, rate in segments):
             raise ValidationError("camera_pan needs [px, py] numbers and integer start frames")
-        if not np.isfinite(self.pan_offsets()).all():
+        try:
+            offsets = self.pan_offsets()
+        except (ValueError, MemoryError) as exc:  # numpy cannot describe or allocate the rows
+            raise CapacityError(f"num_frames {self.num_frames} is too large: {exc}") from None
+        if not np.isfinite(offsets).all():
             raise ValidationError("camera_pan must keep every pan offset finite")
         used = set()
         for ev in self.drift_events:
@@ -307,7 +312,8 @@ def generate_scenario(spec: ScenarioSpec):
     rewrite the victim's rows: three frames of interpolation onto the
     neighbor, a stretch riding it, then a stationary box parked at the
     neighbor's exit point. The entrant spawned at that exit point afterwards
-    carries a fresh id from its first frame.
+    carries a fresh id from its first frame. Raises CapacityError naming
+    num_frames or num_targets when numpy cannot hold the scenario's arrays.
     """
     ctx = spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -315,16 +321,21 @@ def generate_scenario(spec: ScenarioSpec):
     n_total = spec.num_targets + n_events
     frames = spec.num_frames
 
-    heights = rng.uniform(130.0, 170.0, n_total)
-    widths = 0.42 * heights
-    band_step = (spec.image_height - 400.0) / max(spec.num_targets, 1)
-    band_y = 200.0 + band_step * np.arange(spec.num_targets) + rng.uniform(-10, 10, spec.num_targets)
-    start_x = rng.uniform(0.25 * spec.image_width, 0.85 * spec.image_width, spec.num_targets)
-    vel_x = rng.uniform(-2.0, 2.0, spec.num_targets)
-    vel_y = rng.uniform(-0.5, 0.5, spec.num_targets)
-    jitter = rng.normal(0.0, spec.noise_std, (n_total, frames + 1, 2)) if spec.noise_std > 0 \
-        else np.zeros((n_total, frames + 1, 2))
-    score_noise = rng.normal(0.0, 0.008, (n_total, frames + 1))
+    try:  # numpy raises ValueError for arrays it cannot describe, MemoryError for the rest
+        heights = rng.uniform(130.0, 170.0, n_total)
+        widths = 0.42 * heights
+        band_step = (spec.image_height - 400.0) / max(spec.num_targets, 1)
+        band_y = (200.0 + band_step * np.arange(spec.num_targets)
+                  + rng.uniform(-10, 10, spec.num_targets))
+        start_x = rng.uniform(0.25 * spec.image_width, 0.85 * spec.image_width, spec.num_targets)
+        vel_x = rng.uniform(-2.0, 2.0, spec.num_targets)
+        vel_y = rng.uniform(-0.5, 0.5, spec.num_targets)
+        jitter = rng.normal(0.0, spec.noise_std, (n_total, frames + 1, 2)) \
+            if spec.noise_std > 0 else np.zeros((n_total, frames + 1, 2))
+        score_noise = rng.normal(0.0, 0.008, (n_total, frames + 1))
+    except (ValueError, MemoryError) as exc:
+        raise CapacityError(f"num_targets {spec.num_targets} is too large for {frames} "
+                            f"frames: {exc}") from None
 
     pan = spec.pan_offsets()
 

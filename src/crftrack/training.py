@@ -4,8 +4,9 @@ Training data comes from replaying a threshold-only tracker's output against
 ground truth: frames where the baseline kept a tracklet whose box no longer
 covers its own trajectory become negative samples, and a multiple of
 well-tracked frames is sampled as positives. Coverage is evaluation's IoU >=
-0.5 test: the labels fold over the same IoU pass, metrics._walk. Only the two
-shared weights are trained; the feature hyperparameters stay fixed.
+0.5 test: the labels fold over the same IoU pass, metrics._walk, and the
+replay carries one frame of tracklet history. Only the two shared weights are
+trained; the feature hyperparameters stay fixed.
 
 Each sample enters the likelihood only through the (2**n, 2) matrix Phi of the
 feature sums (phi_u, phi_b) of all its labelings, built once from the feature
@@ -116,6 +117,7 @@ def _build_tables(samples, node_lists, params: ModelParams, key):
     The node windows of all samples go through features.window_features and
     features.pair_penalties at once, with pairs indexed across the samples;
     each sample's Phi then comes from its quadratic_form and two energy grids.
+    A pass whose features are not all finite runs check_features per sample.
     """
     counts = np.array([len(nodes) for nodes in node_lists], dtype=np.intp)
     windows = [w for nodes in node_lists for w in nodes]
@@ -131,18 +133,13 @@ def _build_tables(samples, node_lists, params: ModelParams, key):
                            in zip(counts.tolist(), window_bounds)]).T
     with np.errstate(all="ignore"):  # reported by check_features
         keep_keep = pair_penalties(kinematics, i, j, fp)
-    pair_counts = counts * (counts - 1) // 2
-    pair_bounds = np.concatenate([[0], np.cumsum(pair_counts)]).tolist()
-    # The first sample with a feature that is not finite raises when the loop reaches it.
-    owner = np.arange(len(samples))
-    bad = np.concatenate([np.repeat(owner, counts)[~np.isfinite(unary).all(axis=1)],
-                          np.repeat(owner, pair_counts)[~np.isfinite(keep_keep)]])
-    first_bad = bad.min() if bad.size else -1
+    pair_bounds = np.concatenate([[0], np.cumsum(counts * (counts - 1) // 2)]).tolist()
+    all_finite = np.isfinite(unary).all() and np.isfinite(keep_keep).all()
 
     for s, (sample, nodes) in enumerate(zip(samples, node_lists)):
         unary_phi = unary[window_bounds[s]:window_bounds[s + 1]]
         pair_phi = keep_keep[pair_bounds[s]:pair_bounds[s + 1]]
-        if s == first_bad:
+        if not all_finite:
             check_features(nodes, unary_phi, pair_phi)
         node_ids = [w.tracklet_id for w in nodes]
         if set(node_ids) != set(sample.gold):
@@ -280,12 +277,13 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
     or after a gap, of equal IoUs the smaller GT id; its gold label is 1
     exactly when it covers its owner in the frame. Frames where any would-be
     CRF node is gold-0 are negatives; positive_ratio times as many
-    all-correct frames are drawn with the shuffle seed.
+    all-correct frames are drawn with the shuffle seed. The replay keeps each
+    tracklet's (window, owner) of the previous frame only, and looks run rows
+    up by frame number.
     """
-    run_frames = track_run.frames()
-    windows_by_id: dict[int, HypothesisWindow] = {}
-    last_frame: dict[int, int] = {}
-    owners: dict[int, int | None] = {}
+    run_rows = dict(track_run.frames())
+    state: dict[int, tuple[HypothesisWindow, int | None]] = {}  # tracklet -> (window, owner)
+    state_frame = None
     negatives, positives = [], []
 
     for frame, _, n_run, hits in _walk(ground_truth, track_run):
@@ -294,25 +292,25 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
         covered = {(gid, tid) for _, gid, tid in hits}
         # Sorted so each tracklet's last hit is its best, of equal IoUs the smaller GT id.
         best = {tid: gid for _, gid, tid in sorted(hits, key=lambda h: (h[0], -h[1]))}
-        _, rows = next(run_frames)  # _walk visits every run frame, in the same order
-        for tid, xywh, score in rows:
+        # A tracklet missing from the previous frame restarts its history.
+        previous = state if state_frame == frame - 1 else {}
+        state, state_frame = {}, frame
+        for tid, xywh, score in run_rows[frame]:
             try:
-                # A tracklet missing from the previous frame restarts its history.
-                if last_frame.get(tid) != frame - 1:
-                    windows_by_id[tid] = HypothesisWindow(tid, (Box(*xywh),), score)
-                    owners[tid] = best.get(tid)
+                if tid in previous:
+                    window, owner = previous[tid]
+                    state[tid] = window.extended(Box(*xywh), score), owner
                 else:
-                    windows_by_id[tid] = windows_by_id[tid].extended(Box(*xywh), score)
+                    state[tid] = HypothesisWindow(tid, (Box(*xywh),), score), best.get(tid)
             except ValidationError as exc:
                 raise ValidationError(f"run {sequence_id}, frame {frame}, tracklet {tid}: {exc}")
-            last_frame[tid] = frame
 
-        windows = [windows_by_id[tid] for tid, _, _ in rows]
+        windows = [window for window, _ in state.values()]
         nodes, _, _ = split_frame(windows, params)
         if not nodes:
             continue
 
-        gold = {w.tracklet_id: int((owners[w.tracklet_id], w.tracklet_id) in covered)
+        gold = {w.tracklet_id: int((state[w.tracklet_id][1], w.tracklet_id) in covered)
                 for w in nodes}
         sample = TrainingSample(windows=windows, ctx=ctx, gold=gold,
                                 sequence=sequence_id, frame=frame)

@@ -1,4 +1,5 @@
 import decimal
+import inspect
 import json
 import math
 import re
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crftrack import cli
+from crftrack import cli, crf_model, tracker
 from crftrack.cli import exit_code_for, main
 from crftrack.errors import CapacityError, FormatError, NumericalError, ValidationError
+from crftrack.factor_graph import DEFAULT_INFERENCE, INFERENCE_MODES
 from crftrack.features import FrameContext
 from crftrack.io import (TrackFile, TrackRecord, fixed_point, parse_mot, parse_seqinfo,
                          round_half_up, write_mot, write_seqinfo)
@@ -665,13 +667,19 @@ class TestCli:
         assert err.startswith("error:") and "Traceback" not in err
 
     # Each spec asks for arrays above 64 PiB, more than any x86-64 address space
-    # holds, so the allocation fails at once and reserves no memory.
-    @pytest.mark.parametrize("field", [{"num_frames": 10 ** 17}, {"num_targets": 10 ** 17}])
+    # holds, so the allocation fails at once and reserves no memory. From
+    # 8 EiB on numpy cannot even describe the array and rejects it earlier.
+    @pytest.mark.parametrize("field", [
+        {"num_frames": 10 ** 17}, {"num_targets": 10 ** 17},
+        {"num_targets": 2 * 10 ** 18}, {"num_targets": 10 ** 19},
+        {"num_frames": 10 ** 18}, {"num_frames": 10 ** 19}])
     def test_unallocatable_spec_exit_code(self, workdir, capsys, field):
         (workdir / "spec.json").write_text(json.dumps({**SPEC_JSON, **field}))
         assert main(gen_args(workdir)) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        (name, value), = field.items()
+        assert err.startswith(f"error: {name} {value} is too large") and err.count("\n") == 1
+        assert ("Unable to allocate" in err) == (value == 10 ** 17)
 
     def test_dataset_lines_are_infer_frames(self, workdir, capsys):
         from crftrack.crf_model import decide_inactivation, load_params
@@ -868,3 +876,14 @@ class TestCli:
         for name in ("hyp", "gt", "seqinfo"):
             assert (workdir / f"{name}a.txt").read_bytes() \
                 == (workdir / f"{name}b.txt").read_bytes()
+
+
+def test_default_inference_is_named_once():
+    # `is`: each default reads the constant instead of restating its value.
+    assert DEFAULT_INFERENCE == "loopy-bp" and DEFAULT_INFERENCE in INFERENCE_MODES
+    for fn in (crf_model.decide_frame, crf_model.decide_inactivation, tracker.step, tracker.run):
+        assert inspect.signature(fn).parameters["inference"].default is DEFAULT_INFERENCE
+    parser = cli.build_parser()
+    for argv in (["track", "--hyp", "h", "--seqinfo", "s", "--params", "p", "--mode", "crf",
+                  "--out", "o"], ["infer", "--frame-json", "f", "--params", "p"]):
+        assert parser.parse_args(argv).inference is DEFAULT_INFERENCE

@@ -242,6 +242,47 @@ def test_saved_dataset_equals_scalar_reference(tmp_path, table_params, targets, 
         assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "scalar.jsonl").read_bytes()
 
 
+def gappy_run(rng, frames=40, targets=4):
+    """(run, ground truth) of a seeded run whose tracklets come and go.
+
+    Run tracklets follow a target, sometimes switch to another and sometimes
+    sit 30 px off it; each row is dropped with probability 0.15, so ids vanish
+    and come back. Three frames have no ground truth and three others no run
+    rows, so run frames follow frames without run rows.
+    """
+    start = rng.uniform(100.0, 1500.0, (targets, 2))
+    velocity = rng.uniform(-6.0, 6.0, (targets, 2))
+    no_gt, no_run = np.split(rng.choice(np.arange(1, frames + 1), 6, replace=False), 2)
+    follows = {tid: (tid - 1) % targets for tid in range(1, targets + 2)}
+    gt_rows, run_rows = [], []
+    for f in range(1, frames + 1):
+        centers = start + velocity * f
+        gt_rows += [TrackRecord(f, g + 1, *centers[g], 40.0, 100.0, 1.0)
+                    for g in range(targets) if f not in no_gt and rng.random() < 0.9]
+        for tid in follows:
+            if rng.random() < 0.1:
+                follows[tid] = int(rng.integers(targets))
+            left, top = centers[follows[tid]] + rng.normal(0.0, 2.0, 2)
+            if rng.random() < 0.15:
+                left += 30.0
+            if f not in no_run and rng.random() >= 0.15:
+                run_rows.append(TrackRecord(f, tid, left, top, 40.0, 100.0,
+                                            rng.uniform(0.3, 1.0)))
+    return TrackFile(run_rows), TrackFile(gt_rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_replay_of_gappy_runs_equals_scalar_reference(tmp_path, table_params, seed):
+    track_run, gt = gappy_run(np.random.default_rng(seed))
+    config = TrainConfig(shuffle_seed=seed)
+    samples = generate_dataset(track_run, gt, table_params, config, CTX)
+    assert any(s.negative for s in samples)
+    save_dataset(tmp_path / "new.jsonl", samples)
+    save_dataset(tmp_path / "scalar.jsonl",
+                 scalar_generate_dataset(track_run, gt, table_params, config, CTX))
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "scalar.jsonl").read_bytes()
+
+
 class TestNegativeFlag:
     def test_follows_gold(self):
         sample = single_node_sample(gold=1)
