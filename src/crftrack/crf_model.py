@@ -4,12 +4,12 @@
 score and history thresholds; of the remaining candidates at most
 `node_budget` of the lowest-scoring ones become CRF nodes (confident
 tracklets need no joint reasoning) and the rest stay active without
-entering the graph. The graph has one variable per CRF node and one
-pair factor per pair of nodes, in the order `pair_ends` fixes; the pair feature
-is one keep-keep column (graph_from_features pads it). `decide_frame` is the
-one path from a frame's windows to its decisions: it assembles the graph,
-takes its MAP labels from `factor_graph.infer`, and maps labels and
-bypasses to decision kinds.
+entering the CRF. Its pair feature is one keep-keep column per pair of
+nodes, in the order `pair_ends` fixes. `decide_frame` is the one path from
+a frame's windows to its decisions: it weighs the energies once, reads exact
+MAP labels off their quadratic form, or loopy-bp labels off the factor graph
+that only loopy BP builds (energy_graph pads the column into 2x2 tables),
+and maps labels and bypasses to decision kinds.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import DEFAULT_INFERENCE, BpConfig, FactorGraph, InferenceResult, infer
+from .factor_graph import (DEFAULT_INFERENCE, BpConfig, FactorGraph, InferenceResult, exact_map,
+                           infer, quadratic_form)
 from .features import (FeatureParams, FrameContext, is_integer, keep_keep_penalties,
                        unary_feature)
 
@@ -63,16 +64,19 @@ class ModelParams:
 
 @dataclass
 class FrameAssembly:
-    """One frame's CRF plus the tracklets routed around it.
+    """One frame's energies unary = theta_u * unary_phi (n, 2) and keep_keep =
+    theta_b * keep_keep (P,); node_map[v] is CRF node v's tracklet id, and
+    bypass_active and bypass_inactive hold the tracklets decided without the CRF."""
 
-    node_map[v] is the tracklet id of graph variable v; bypass_active and
-    bypass_inactive hold the tracklets decided without the graph.
-    """
-
-    graph: FactorGraph
+    unary: np.ndarray
+    keep_keep: np.ndarray
     node_map: tuple[int, ...]
     bypass_active: list[int]
     bypass_inactive: list[int]
+
+    @property
+    def graph(self) -> FactorGraph:  # built on every read: only loopy BP reads it
+        return energy_graph(self.unary, self.keep_keep)
 
 
 @functools.lru_cache(maxsize=64)
@@ -149,33 +153,39 @@ def check_features(nodes, unary_phi, keep_keep):
                              f"{nodes[i].tracklet_id} and {nodes[j].tracklet_id}")
 
 
-def graph_from_features(unary_phi, keep_keep, theta_u, theta_b) -> FactorGraph:
-    """Energy graph E = theta * phi over the CRF nodes.
-
-    Pair k's 2x2 table is theta_b * keep_keep[k] at labels (1, 1) and 0 elsewhere.
-    Raises NumericalError naming the weight whose energies overflowed.
-    """
-    n = unary_phi.shape[0]
-    tables = np.zeros((len(keep_keep), 2, 2))
+def weighted_energies(unary_phi, keep_keep, theta_u, theta_b):
+    """(theta_u * unary_phi, theta_b * keep_keep); NumericalError names a weight that overflows."""
     weight = "theta_u"
     try:
         # Trapping the overflow costs less than testing the products for infinity.
         with np.errstate(over="raise"):
             unary = theta_u * unary_phi
             weight = "theta_b"
-            tables[:, 1, 1] = theta_b * keep_keep
+            return unary, theta_b * keep_keep
     except FloatingPointError:
         raise NumericalError(f"energies of weight {weight} overflow float range") from None
-    return FactorGraph(n, unary, pair_ends(n), tables)
+
+
+def energy_graph(unary, keep_keep) -> FactorGraph:
+    """Graph of the (n, 2) unary energies whose pair k's 2x2 table is keep_keep[k]
+    at labels (1, 1) and 0 elsewhere, for the pairs of pair_ends(n)."""
+    tables = np.zeros((len(keep_keep), 2, 2))
+    tables[:, 1, 1] = keep_keep
+    return FactorGraph(len(unary), unary, pair_ends(len(unary)), tables)
+
+
+def graph_from_features(unary_phi, keep_keep, theta_u, theta_b) -> FactorGraph:
+    """Energy graph E = theta * phi over the CRF nodes, with weighted_energies' errors."""
+    return energy_graph(*weighted_energies(unary_phi, keep_keep, theta_u, theta_b))
 
 
 def assemble_frame_graph(windows, params: ModelParams, ctx: FrameContext) -> FrameAssembly:
-    """Build the CRF for one frame of tracking hypotheses."""
+    """Split one frame of tracking hypotheses and weigh its CRF energies."""
     nodes, unary_phi, keep_keep, bypass_active, bypass_inactive = \
         compute_feature_tables(windows, params, ctx)
-    graph = graph_from_features(unary_phi, keep_keep, params.theta_u, params.theta_b)
-    return FrameAssembly(graph=graph, node_map=tuple(w.tracklet_id for w in nodes),
-                         bypass_active=bypass_active, bypass_inactive=bypass_inactive)
+    unary, pair = weighted_energies(unary_phi, keep_keep, params.theta_u, params.theta_b)
+    return FrameAssembly(unary, pair, tuple(w.tracklet_id for w in nodes),
+                         bypass_active, bypass_inactive)
 
 
 def decide_frame(windows, params: ModelParams, ctx: FrameContext,
@@ -183,12 +193,16 @@ def decide_frame(windows, params: ModelParams, ctx: FrameContext,
                  trace: list | None = None) -> tuple[dict[int, str], InferenceResult]:
     """Decision kind of every tracklet in the frame, plus the CRF's inference result.
 
-    CRF nodes are KEPT or INACTIVATED_CRF by the MAP labels of `infer`
-    (the exact energy argmin, or loopy max-product); bypassed tracklets are
-    BYPASS or INACTIVATED_THRESHOLD. `trace` collects loopy-bp messages.
+    CRF nodes are KEPT or INACTIVATED_CRF by MAP labels: exact ones from the
+    energies' quadratic form (no graph), else `infer`'s on the graph. Bypassed
+    tracklets are BYPASS or INACTIVATED_THRESHOLD. `trace` collects loopy-bp messages.
     """
     assembly = assemble_frame_graph(windows, params, ctx)
-    result = infer(assembly.graph, inference, bp, trace=trace)
+    if inference == "exact" and trace is None:
+        n = len(assembly.node_map)
+        result = exact_map(n, quadratic_form, assembly.unary, pair_ends(n), assembly.keep_keep)
+    else:
+        result = infer(assembly.graph, inference, bp, trace=trace)
     kinds = {tid: KEPT if label == 1 else INACTIVATED_CRF
              for tid, label in zip(assembly.node_map, result.map_labels)}
     kinds.update((tid, BYPASS) for tid in assembly.bypass_active)

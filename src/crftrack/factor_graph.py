@@ -12,8 +12,8 @@ dispatch from an inference mode name to a labeling.
 With binary labels the energy is a quadratic form c + a.y + y'Qy, so
 `labeling_energies` evaluates all 2**K labelings with a few matrix products
 over cached labeling halves, holding one number per labeling, of the form that
-`quadratic_form` builds. Exact inference, the exact MAP of `infer` (the grid's
-argmin alone, with no exponentials) and training's feature sums start there.
+`quadratic_form` builds. Exact inference, `exact_map` (the argmin of any
+form, a graph's or a tracked frame's) and training's feature sums start there.
 
 Belief propagation keeps its messages as normalized log-probabilities, so an
 energy table whose exp(-E) underflows to zero still passes a finite message;
@@ -128,8 +128,8 @@ class InferenceResult:
     """Marginals, factor marginals, and MAP labels from one inference call.
 
     `pair_beliefs[k]` is the joint belief of pair factor k. `log_partition` is
-    populated by exact inference only. The exact MAP of `infer` computes the
-    labels alone, so its marginals and pair beliefs are None.
+    populated by exact inference only. `exact_map` computes the labels
+    alone, so its marginals and pair beliefs are None.
     """
 
     node_marginals: np.ndarray | None
@@ -227,6 +227,16 @@ def _map_index(energies):
     return best
 
 
+def exact_map(num_vars, form, *args) -> InferenceResult:
+    """Labels-only exact MAP of the energy (c, a, Q) = form(*args), checking
+    capacity before the form is built."""
+    _check_capacity(num_vars)
+    best = _map_index(_energy_grid(num_vars, *form(*args)))
+    return InferenceResult(node_marginals=None, pair_beliefs=None,
+                           map_labels=(best >> np.arange(num_vars)) & 1,
+                           log_partition=None, converged=True, iterations_used=0)
+
+
 def exact_inference(graph: FactorGraph) -> InferenceResult:
     """Exact marginals, pair beliefs, log partition function and MAP labeling.
 
@@ -268,18 +278,15 @@ def infer(graph: FactorGraph, mode: str, config: BpConfig | None = None,
           trace: list | None = None) -> InferenceResult:
     """MAP inference in one of INFERENCE_MODES.
 
-    "exact" takes the argmin of `labeling_energies` under exact_inference's
-    tie rule and returns the MAP labels alone, without marginals. "loopy-bp"
+    "exact" is `exact_map` of the graph's folded tables: the MAP labels
+    alone, under exact_inference's tie rule, without marginals. "loopy-bp"
     runs max-product and appends its messages to `trace` when one is given;
     exact inference passes no messages, so it rejects a trace.
     """
     if mode == "exact":
         if trace is not None:
             raise ValidationError("message traces need loopy-bp inference")
-        best = _map_index(labeling_energies(graph))
-        return InferenceResult(node_marginals=None, pair_beliefs=None,
-                               map_labels=(best >> np.arange(graph.num_vars)) & 1,
-                               log_partition=None, converged=True, iterations_used=0)
+        return exact_map(graph.num_vars, _quadratic_form, graph)
     if mode == "loopy-bp":
         return max_product(graph, config, trace=trace)
     raise ValidationError(f"unknown inference mode {mode!r}")

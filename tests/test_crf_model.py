@@ -1,16 +1,20 @@
 import math
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import reference_enumeration
-from crftrack.crf_model import (ModelParams, assemble_frame_graph, compute_feature_tables,
-                                decide_inactivation, default_params, graph_from_features,
-                                load_params, pair_ends, save_params)
-from crftrack.errors import ValidationError
-from crftrack.factor_graph import (BpConfig, _energy_grid, _map_index, _quadratic_form,
-                                   labeling_energies, quadratic_form)
+from crftrack.crf_model import (BYPASS, INACTIVATED_CRF, INACTIVATED_THRESHOLD, KEPT,
+                                ModelParams, assemble_frame_graph, compute_feature_tables,
+                                decide_frame, decide_inactivation, default_params,
+                                graph_from_features, load_params, pair_ends, save_params,
+                                with_weights)
+from crftrack.errors import CapacityError, ValidationError
+from crftrack.factor_graph import (BpConfig, FactorGraph, _energy_grid, _map_index,
+                                   _quadratic_form, infer, labeling_energies, quadratic_form)
 from crftrack.features import (Box, FeatureParams, FrameContext, HypothesisWindow,
                                boundary_flag, height_change_rate, velocity_change)
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
@@ -200,6 +204,64 @@ class TestDecide:
             windows = [steady_window(1, score), steady_window(2, 0.95, x=700)]
             labels = decide_inactivation(windows, params, CTX, "loopy-bp")
             assert labels[1] == 0
+
+
+class TestExactFromForm:
+    @pytest.mark.parametrize("node_budget", (1, 10, 14, 20))
+    @pytest.mark.parametrize("num_targets", (8, 20))
+    def test_decisions_equal_graph_oracle(self, scenario_frames, num_targets, node_budget):
+        # Exact tracking reads its labels off the quadratic form; the oracle
+        # labels the padded factor graph of the same features.
+        params, frames = scenario_frames
+        windows_per_frame, ctx = frames[num_targets]
+        for theta_b in (params.theta_b, -0.7):
+            p = with_tight_budget(with_weights(params, params.theta_u, theta_b), node_budget)
+            for windows in windows_per_frame:
+                nodes, unary_phi, keep_keep, active, inactive = \
+                    compute_feature_tables(windows, p, ctx)
+                oracle = infer(graph_from_features(unary_phi, keep_keep, p.theta_u, theta_b),
+                               "exact")
+                expected = {w.tracklet_id: KEPT if y == 1 else INACTIVATED_CRF
+                            for w, y in zip(nodes, oracle.map_labels)}
+                expected.update((tid, BYPASS) for tid in active)
+                expected.update((tid, INACTIVATED_THRESHOLD) for tid in inactive)
+                kinds, result = decide_frame(windows, p, ctx, "exact")
+                assert kinds == expected
+                assert np.array_equal(result.map_labels, oracle.map_labels)
+                assert result.node_marginals is None and result.pair_beliefs is None
+                assert (result.converged, result.iterations_used) == (True, 0)
+
+    def test_only_loopy_tracking_builds_factor_graphs(self, monkeypatch):
+        spec = ScenarioSpec(num_frames=60, num_targets=8, camera_pan=(0.0, 0.8), seed=3,
+                            drift_events=[DriftEvent(20, 0, 1)])
+        hyp, _, ctx = generate_scenario(spec)
+        params, bp = default_params()
+        built = Counter()
+        post_init = FactorGraph.__post_init__
+
+        def counted(graph):
+            built[inference] += 1
+            post_init(graph)
+
+        monkeypatch.setattr(FactorGraph, "__post_init__", counted)
+        tracks = {}
+        for inference in ("exact", "loopy-bp"):
+            tracks[inference] = run(hyp, params, ctx, mode="crf", inference=inference, bp=bp)
+        assert built["exact"] == 0
+        assert built["loopy-bp"] > 0
+        assert tracks["exact"].records == tracks["loopy-bp"].records
+
+    def test_over_capacity_raises_before_allocating(self, params):
+        # 21 CRF nodes: 2**21 labelings are refused before anything that size exists.
+        windows = [steady_window(tid, 0.9, x=90.0 * tid) for tid in range(21)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"K=21 exceeds 20, so use loopy-bp"):
+                decide_frame(windows, with_tight_budget(params, 21), CTX, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def with_tight_budget(params, budget):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -587,6 +588,34 @@ class TestCli:
                      "--params", str(workdir / "params25.txt"),
                      "--inference", "exact"])
         assert code == 4
+
+    def test_exact_tracking_over_capacity_exit_code(self, workdir, capsys):
+        # 21 tracklets reach their third box together at node budget 21: exact
+        # tracking refuses the 2**21 labelings before allocating them.
+        from crftrack.crf_model import default_params, save_params
+        params, bp = default_params()
+        save_params(workdir / "params.txt", params, bp)
+        content = (workdir / "params.txt").read_text().replace("node_budget=10", "node_budget=21")
+        (workdir / "params21.txt").write_text(content)
+        (workdir / "hyp.txt").write_text("".join(
+            f"{t},{tid},{85 * tid + 2 * t},100,40,100,0.9,-1,-1,-1\n"
+            for t in (1, 2, 3) for tid in range(1, 22)))
+        (workdir / "seqinfo.txt").write_text(
+            "imWidth=1920\nimHeight=1080\nframeRate=5\nseqLength=3\n")
+        tracemalloc.start()
+        try:
+            code = main(["track", "--hyp", str(workdir / "hyp.txt"),
+                         "--seqinfo", str(workdir / "seqinfo.txt"),
+                         "--params", str(workdir / "params21.txt"), "--mode", "crf",
+                         "--inference", "exact", "--out", str(workdir / "out.txt")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert capsys.readouterr().err == ("error: exact inference enumerates 2**K labelings; "
+                                           "K=21 exceeds 20, so use loopy-bp\n")
+        assert peak < 2**20
+        assert not (workdir / "out.txt").exists()
 
     @pytest.mark.parametrize("field", [
         {"image_width": "abc"}, {"id": 1.7}, {"id": True}, {"boxes": ["1234"]}, {"score": True},
