@@ -9,8 +9,8 @@ File formats and the command line live in io and cli.
 
 from .crf_model import (FrameAssembly, ModelParams, assemble_frame_graph, decide_frame,
                         decide_inactivation, default_params, load_params, save_params)
-from .factor_graph import (BpConfig, FactorGraph, InferenceResult, exact_inference, infer,
-                           max_product, sum_product)
+from .factor_graph import (BpConfig, FactorGraph, InferenceResult, exact_inference, max_product,
+                           sum_product)
 from .features import (Box, FeatureParams, FrameContext, HypothesisWindow,
                        aspect_ratio_change, boundary_flag, height_change_rate,
                        keep_keep_penalties, unary_feature, velocity_change)

@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from . import crf_model, io, metrics, tracker, training
+from .crf_model import DEFAULT_INFERENCE, INFERENCE_MODES
 from .errors import CapacityError, CrfTrackError, FormatError, NumericalError
-from .factor_graph import DEFAULT_INFERENCE, INFERENCE_MODES
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,10 +6,11 @@ score and history thresholds; of the remaining candidates at most
 tracklets need no joint reasoning) and the rest stay active without
 entering the CRF. Its pair feature is one keep-keep column per pair of
 nodes, in the order `pair_ends` fixes. `decide_frame` is the one path from
-a frame's windows to its decisions: it weighs the energies once, reads exact
-MAP labels off their quadratic form, or loopy-bp labels off the factor graph
-that only loopy BP builds (energy_graph pads the column into 2x2 tables),
-and maps labels and bypasses to decision kinds.
+a frame's windows to its decisions and the one inference dispatch: it weighs
+the energies once, maps a name of INFERENCE_MODES to its engine (exact MAP
+off the energies' quadratic form, or loopy-bp off the factor graph that only
+loopy BP builds; energy_graph pads the column into 2x2 tables), and maps
+labels and bypasses to decision kinds.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import (DEFAULT_INFERENCE, BpConfig, FactorGraph, InferenceResult, exact_map,
-                           infer, quadratic_form)
+from .factor_graph import (BpConfig, FactorGraph, InferenceResult, exact_map, max_product,
+                           quadratic_form)
 from .features import (FeatureParams, FrameContext, is_integer, keep_keep_penalties,
                        unary_feature)
 
@@ -37,6 +38,11 @@ INACTIVATED_THRESHOLD = "inactivated-threshold"
 INACTIVATED_CRF = "inactivated-crf"
 BYPASS = "bypass"
 ACTIVE_KINDS = (KEPT, BYPASS)
+
+# Inference modes of decide_frame and the CLI, and the one tracking and the
+# CLI use unless told otherwise.
+INFERENCE_MODES = ("exact", "loopy-bp")
+DEFAULT_INFERENCE = "loopy-bp"
 
 
 @dataclass(frozen=True)
@@ -193,16 +199,22 @@ def decide_frame(windows, params: ModelParams, ctx: FrameContext,
                  trace: list | None = None) -> tuple[dict[int, str], InferenceResult]:
     """Decision kind of every tracklet in the frame, plus the CRF's inference result.
 
-    CRF nodes are KEPT or INACTIVATED_CRF by MAP labels: exact ones from the
-    energies' quadratic form (no graph), else `infer`'s on the graph. Bypassed
-    tracklets are BYPASS or INACTIVATED_THRESHOLD. `trace` collects loopy-bp messages.
+    The one inference dispatch: CRF nodes are KEPT or INACTIVATED_CRF by the
+    MAP labels of "exact" (`exact_map` of the energies' quadratic form, no
+    graph) or "loopy-bp" (max-product on the factor graph, appending its
+    messages to `trace`; exact inference rejects a trace). Bypassed tracklets
+    are BYPASS or INACTIVATED_THRESHOLD.
     """
     assembly = assemble_frame_graph(windows, params, ctx)
-    if inference == "exact" and trace is None:
+    if inference == "exact":
+        if trace is not None:
+            raise ValidationError("message traces need loopy-bp inference")
         n = len(assembly.node_map)
         result = exact_map(n, quadratic_form, assembly.unary, pair_ends(n), assembly.keep_keep)
+    elif inference == "loopy-bp":
+        result = max_product(assembly.graph, bp, trace=trace)
     else:
-        result = infer(assembly.graph, inference, bp, trace=trace)
+        raise ValidationError(f"unknown inference mode {inference!r}")
     kinds = {tid: KEPT if label == 1 else INACTIVATED_CRF
              for tid, label in zip(assembly.node_map, result.map_labels)}
     kinds.update((tid, BYPASS) for tid in assembly.bypass_active)

@@ -6,8 +6,8 @@ y has probability proportional to exp(-sum_f E_f(y_f)), so lower energy means
 more probable. Three inference routines are provided: exact enumeration (the
 oracle, exact marginals and log partition function), sum-product belief
 propagation (approximate marginals on loopy graphs, exact on trees), and
-max-product belief propagation (approximate MAP). `infer` is the one MAP
-dispatch from an inference mode name to a labeling.
+max-product belief propagation (approximate MAP). The module knows no
+inference mode names: `crf_model.decide_frame` maps them to these routines.
 
 With binary labels the energy is a quadratic form c + a.y + y'Qy, so
 `labeling_energies` evaluates all 2**K labelings with a few matrix products
@@ -40,11 +40,6 @@ MAX_EXACT_VARS = 20
 # variables index its columns and the rest its rows, so each cached labeling
 # half has at most 2**COLUMN_VARS rows.
 COLUMN_VARS = 10
-
-# Inference modes accepted by `infer` and the CLI, and the one tracking and
-# the CLI use unless told otherwise.
-INFERENCE_MODES = ("exact", "loopy-bp")
-DEFAULT_INFERENCE = "loopy-bp"
 
 # Largest log-probability step of any message that loopy BP still counts as
 # converged, whatever its step in probability units.
@@ -242,7 +237,7 @@ def exact_inference(graph: FactorGraph) -> InferenceResult:
 
     All 2**K labeling energies come from `labeling_energies`. Marginals and
     pair beliefs are entries of the moment matrix E[z z'] of z = [1 - y, y].
-    The MAP labeling is the one `infer` picks in exact mode (`_map_index`).
+    The MAP labeling is `exact_map`'s, under `_map_index`'s tie rule.
     """
     energies = labeling_energies(graph)
     n, k = graph.num_vars, min(graph.num_vars, COLUMN_VARS)
@@ -272,24 +267,6 @@ def exact_inference(graph: FactorGraph) -> InferenceResult:
         converged=True,
         iterations_used=0,
     )
-
-
-def infer(graph: FactorGraph, mode: str, config: BpConfig | None = None,
-          trace: list | None = None) -> InferenceResult:
-    """MAP inference in one of INFERENCE_MODES.
-
-    "exact" is `exact_map` of the graph's folded tables: the MAP labels
-    alone, under exact_inference's tie rule, without marginals. "loopy-bp"
-    runs max-product and appends its messages to `trace` when one is given;
-    exact inference passes no messages, so it rejects a trace.
-    """
-    if mode == "exact":
-        if trace is not None:
-            raise ValidationError("message traces need loopy-bp inference")
-        return exact_map(graph.num_vars, _quadratic_form, graph)
-    if mode == "loopy-bp":
-        return max_product(graph, config, trace=trace)
-    raise ValidationError(f"unknown inference mode {mode!r}")
 
 
 def sum_product(graph: FactorGraph, config: BpConfig | None = None,

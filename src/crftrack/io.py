@@ -9,8 +9,8 @@ box and score as float64. Pixel values are written with two decimals,
 scores with four, rounded half-up on the exact binary value (`fixed_point`:
 "%.*f", with exact half-way cases rounded away from zero in integer
 arithmetic); a non-finite value is a ValidationError.
-A frame object (one frame's context and windows) is the input of `infer`
-and, with gold labels, one line of a training dataset.
+A frame object (one frame's context and windows) is the input of
+`crftrack infer` and, with gold labels, one line of a training dataset.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 # The decision kinds are re-exported: callers read them as tracker.KEPT etc.
-from .crf_model import (ACTIVE_KINDS, BYPASS, INACTIVATED_CRF,  # noqa: F401
-                        INACTIVATED_THRESHOLD, KEPT, ModelParams, decide_frame)
+from .crf_model import (ACTIVE_KINDS, BYPASS, DEFAULT_INFERENCE,  # noqa: F401
+                        INACTIVATED_CRF, INACTIVATED_THRESHOLD, KEPT, ModelParams, decide_frame)
 from .errors import CapacityError, NumericalError, ValidationError
-from .factor_graph import DEFAULT_INFERENCE, BpConfig
+from .factor_graph import BpConfig
 from .features import Box, FrameContext, HypothesisWindow, is_integer, is_real
 from .io import TrackFile, TrackRecord, _decode_json, round_half_up
 from .metrics import iou

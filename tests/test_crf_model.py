@@ -14,7 +14,8 @@ from crftrack.crf_model import (BYPASS, INACTIVATED_CRF, INACTIVATED_THRESHOLD, 
                                 with_weights)
 from crftrack.errors import CapacityError, ValidationError
 from crftrack.factor_graph import (BpConfig, FactorGraph, _energy_grid, _map_index,
-                                   _quadratic_form, infer, labeling_energies, quadratic_form)
+                                   _quadratic_form, exact_inference, exact_map, labeling_energies,
+                                   max_product, quadratic_form)
 from crftrack.features import (Box, FeatureParams, FrameContext, HypothesisWindow,
                                boundary_flag, height_change_rate, velocity_change)
 from crftrack.tracker import DriftEvent, ScenarioSpec, generate_scenario, run
@@ -206,30 +207,71 @@ class TestDecide:
             assert labels[1] == 0
 
 
+def expected_kinds(nodes, labels, active, inactive):
+    """decide_frame's kinds of a frame whose CRF nodes take `labels`."""
+    kinds = {w.tracklet_id: KEPT if y == 1 else INACTIVATED_CRF for w, y in zip(nodes, labels)}
+    kinds.update((tid, BYPASS) for tid in active)
+    kinds.update((tid, INACTIVATED_THRESHOLD) for tid in inactive)
+    return kinds
+
+
+class TestDispatch:
+    def test_inference_mode_dispatch(self, params):
+        # decide_frame alone maps a mode name to its engine, forwarding bp and
+        # trace. On these jerky windows the default BP runs all 50 iterations
+        # and the short one ends on other labels.
+        windows = [HypothesisWindow(tid, tuple(Box(x + d, 100.0, 40.0, 100.0)
+                                               for d in (0.0, 2.0, 2.0 + dx)), score)
+                   for tid, score, x, dx in ((1, 0.9, 100, 2), (2, 0.6, 500, 30),
+                                             (3, 0.7, 900, -25), (4, 0.65, 1300, 12))]
+        graph = assemble_frame_graph(windows, params, CTX).graph
+        short = BpConfig(max_iterations=2, damping=0.0)
+        for inference, bp, expected in (("exact", None, exact_inference(graph)),
+                                        ("loopy-bp", None, max_product(graph)),
+                                        ("loopy-bp", short, max_product(graph, short))):
+            _, result = decide_frame(windows, params, CTX, inference, bp)
+            assert np.array_equal(result.map_labels, expected.map_labels)
+            assert (result.converged, result.iterations_used) == \
+                (expected.converged, expected.iterations_used)
+        trace, expected_trace = [], []
+        decide_frame(windows, params, CTX, "loopy-bp", trace=trace)
+        max_product(graph, trace=expected_trace)
+        assert trace and trace == expected_trace
+        with pytest.raises(ValidationError, match="^message traces need loopy-bp inference$"):
+            decide_frame(windows, params, CTX, "exact", trace=[])
+        # An unknown mode is refused on a frame with no CRF nodes too.
+        for frame in (windows, [], [short_window(1, 0.9)]):
+            with pytest.raises(ValidationError, match="^unknown inference mode 'gibbs'$"):
+                decide_frame(frame, params, CTX, "gibbs")
+
+
 class TestExactFromForm:
     @pytest.mark.parametrize("node_budget", (1, 10, 14, 20))
     @pytest.mark.parametrize("num_targets", (8, 20))
     def test_decisions_equal_graph_oracle(self, scenario_frames, num_targets, node_budget):
         # Exact tracking reads its labels off the quadratic form; the oracle
-        # labels the padded factor graph of the same features.
+        # labels the padded factor graph of the same features, and loopy
+        # tracking labels that graph as max-product does.
         params, frames = scenario_frames
         windows_per_frame, ctx = frames[num_targets]
+        _, bp = default_params()
         for theta_b in (params.theta_b, -0.7):
             p = with_tight_budget(with_weights(params, params.theta_u, theta_b), node_budget)
             for windows in windows_per_frame:
                 nodes, unary_phi, keep_keep, active, inactive = \
                     compute_feature_tables(windows, p, ctx)
-                oracle = infer(graph_from_features(unary_phi, keep_keep, p.theta_u, theta_b),
-                               "exact")
-                expected = {w.tracklet_id: KEPT if y == 1 else INACTIVATED_CRF
-                            for w, y in zip(nodes, oracle.map_labels)}
-                expected.update((tid, BYPASS) for tid in active)
-                expected.update((tid, INACTIVATED_THRESHOLD) for tid in inactive)
+                graph = graph_from_features(unary_phi, keep_keep, p.theta_u, theta_b)
+                oracle = exact_map(graph.num_vars, _quadratic_form, graph)
                 kinds, result = decide_frame(windows, p, ctx, "exact")
-                assert kinds == expected
+                assert kinds == expected_kinds(nodes, oracle.map_labels, active, inactive)
                 assert np.array_equal(result.map_labels, oracle.map_labels)
                 assert result.node_marginals is None and result.pair_beliefs is None
                 assert (result.converged, result.iterations_used) == (True, 0)
+                reference = max_product(graph, bp)
+                kinds, result = decide_frame(windows, p, ctx, "loopy-bp", bp)
+                assert kinds == expected_kinds(nodes, reference.map_labels, active, inactive)
+                assert (result.converged, result.iterations_used) == \
+                    (reference.converged, reference.iterations_used)
 
     def test_only_loopy_tracking_builds_factor_graphs(self, monkeypatch):
         spec = ScenarioSpec(num_frames=60, num_targets=8, camera_pan=(0.0, 0.8), seed=3,

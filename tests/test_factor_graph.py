@@ -9,7 +9,7 @@ from conftest import random_full_graph, random_tree_graph, reference_enumeration
 from crftrack.errors import CapacityError, NumericalError, ValidationError
 from crftrack.factor_graph import (COLUMN_VARS, MAX_EXACT_VARS, MAX_SETTLED_NATS, BpConfig,
                                    FactorGraph, _labeling_half, _map_index, _quadratic_form,
-                                   exact_inference, infer, labeling_energies, max_product,
+                                   exact_inference, exact_map, labeling_energies, max_product,
                                    sum_product)
 
 # BP settings for acyclic graphs: undamped flooding reaches the exact fixed
@@ -126,7 +126,8 @@ def test_labeling_energies_match_reference_grid(k):
         assert np.array_equal(grid, expected)
         best = _map_index(expected)
         assert _map_index(grid) == best
-        assert infer(graph, "exact").map_labels.tolist() == [(best >> v) & 1 for v in range(k)]
+        assert exact_map(graph.num_vars, _quadratic_form, graph).map_labels.tolist() == \
+            [(best >> v) & 1 for v in range(k)]
 
 
 class TestExactInference:
@@ -211,10 +212,10 @@ class TestExactInference:
                     else (lambda shape: rng.normal(0.0, 1.0, shape)))
             graphs.append(FactorGraph(k, draw((k, 2)), ends[keep], draw((int(keep.sum()), 2, 2))))
         for graph in graphs:
-            res = infer(graph, "exact")
+            res = exact_map(graph.num_vars, _quadratic_form, graph)
             assert res.map_labels.tolist() == exact_inference(graph).map_labels.tolist()
             assert res.node_marginals is None and res.pair_beliefs is None
-        assert infer(graphs[0], "exact").map_labels.tolist() == [1] * k
+        assert exact_map(k, _quadratic_form, graphs[0]).map_labels.tolist() == [1] * k
 
     def test_twenty_variable_chain_matches_tree_bp(self, rng):
         k = 20
@@ -283,7 +284,7 @@ class TestExactInference:
         with pytest.raises(CapacityError, match="loopy-bp"):
             exact_inference(graph)
         with pytest.raises(CapacityError, match="loopy-bp"):
-            infer(graph, "exact")
+            exact_map(graph.num_vars, _quadratic_form, graph)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -293,7 +294,7 @@ class TestExactInference:
         tables = [[[0.0, 0.0], [0.0, e]] for e in (big, -big, big, -big)]
         graph = FactorGraph(num_vars=4, unary=np.zeros((4, 2)),
                             ends=[(0, 2), (0, 3), (1, 2), (1, 3)], tables=tables)
-        for solve in (exact_inference, lambda g: infer(g, "exact")):
+        for solve in (exact_inference, lambda g: exact_map(g.num_vars, _quadratic_form, g)):
             with pytest.raises(NumericalError):
                 solve(graph)
 
@@ -548,18 +549,6 @@ class TestProperties:
             assert direction in ("f2v", "v2f")
             assert p0 + p1 == pytest.approx(1.0, abs=1e-9)
             assert p0 >= 0 and p1 >= 0
-
-    def test_infer_dispatch(self, rng):
-        graph = random_full_graph(rng, 4)
-        cases = ((("exact", None), exact_inference(graph)),
-                 (("loopy-bp", None), max_product(graph)),
-                 (("loopy-bp", TREE_BP), max_product(graph, TREE_BP)))
-        for (mode, config), expected in cases:
-            assert np.array_equal(infer(graph, mode, config).map_labels, expected.map_labels)
-        with pytest.raises(ValidationError):
-            infer(graph, "exact", trace=[])
-        with pytest.raises(ValidationError):
-            infer(graph, "gibbs")
 
     def test_bp_config_defaults(self):
         config = BpConfig()

@@ -12,8 +12,8 @@ import pytest
 
 from crftrack import cli, crf_model, tracker
 from crftrack.cli import exit_code_for, main
+from crftrack.crf_model import DEFAULT_INFERENCE, INFERENCE_MODES
 from crftrack.errors import CapacityError, FormatError, NumericalError, ValidationError
-from crftrack.factor_graph import DEFAULT_INFERENCE, INFERENCE_MODES
 from crftrack.features import FrameContext
 from crftrack.io import (TrackFile, TrackRecord, fixed_point, parse_mot, parse_seqinfo,
                          round_half_up, write_mot, write_seqinfo)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -276,3 +277,28 @@ class TestScenario:
         assert offsets[5].tolist() == [4.0, 0.0]
         assert offsets[6].tolist() == [4.0, 2.0]
         assert offsets[7].tolist() == [4.0, 4.0]
+
+
+# sha256 of the "seed,frame,id,kind" lines of every tracking decision that the
+# published parameters make on PINNED_SEQUENCES, in either inference mode.
+PINNED_DIGEST = "4df0c1c1a8233817b14dd8b7239d1308fa43632f192da21ead8076cbf846e7a3"
+PINNED_SEQUENCES = [(seed, 8) for seed in range(5)] + [(7000, 20)]
+
+
+@pytest.mark.parametrize("inference", ("exact", "loopy-bp"))
+def test_pinned_decisions(inference):
+    # The acceptance battery's scenario (targets 0, 2, 4, 6 drift onto 1, 3,
+    # 5, 7 at frames 18, 44, 70, 96), with 8 targets and with 20.
+    params, bp = default_params()
+    lines = []
+    for seed, num_targets in PINNED_SEQUENCES:
+        spec = ScenarioSpec(num_frames=130, num_targets=num_targets, camera_pan=(0.0, 0.8),
+                            seed=seed,
+                            drift_events=[DriftEvent(f, 2 * k, 2 * k + 1)
+                                          for k, f in enumerate((18, 44, 70, 96))])
+        hyp, _, ctx = generate_scenario(spec)
+        results = []
+        run(hyp, params, ctx, mode="crf", inference=inference, bp=bp, results=results)
+        lines.extend(f"{seed},{r.frame},{d.track_id},{d.decision}\n"
+                     for r in results for d in r.decisions)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == PINNED_DIGEST
