@@ -23,8 +23,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import (BpConfig, FactorGraph, InferenceResult, exact_map, max_product,
-                           quadratic_form)
+from .factor_graph import (BpConfig, FactorGraph, InferenceResult, _check_capacity, exact_map,
+                           max_product, quadratic_form)
 from .features import (FeatureParams, FrameContext, is_integer, keep_keep_penalties,
                        unary_feature)
 
@@ -210,6 +210,7 @@ def decide_frame(windows, params: ModelParams, ctx: FrameContext,
         if trace is not None:
             raise ValidationError("message traces need loopy-bp inference")
         n = len(assembly.node_map)
+        _check_capacity(n, ", so use loopy-bp")
         result = exact_map(n, quadratic_form, assembly.unary, pair_ends(n), assembly.keep_keep)
     elif inference == "loopy-bp":
         result = max_product(assembly.graph, bp, trace=trace)

@@ -178,10 +178,10 @@ def _half_energies(half, a, q, part):
     return linear if q is None else linear + ((y @ q[part, part]) * y).sum(axis=1)
 
 
-def _check_capacity(num_vars):
+def _check_capacity(num_vars, advice=""):
     if num_vars > MAX_EXACT_VARS:
         raise CapacityError(f"exact inference enumerates 2**K labelings; "
-                            f"K={num_vars} exceeds {MAX_EXACT_VARS}, so use loopy-bp")
+                            f"K={num_vars} exceeds {MAX_EXACT_VARS}{advice}")
 
 
 def _energy_grid(n, c, a, q):

@@ -14,9 +14,10 @@ tables, with no factor graph: its columns are the unary form c + a.y and the
 pair form y'Qy of factor_graph.quadratic_form on exact inference's labeling
 grid. log Z is a log-sum-exp of -Phi theta; the gradient, E_p[Phi] - Phi[gold].
 
-The feature tables of all uncached samples come from one array pass
-(`_fill_tables`); tracking's per-frame crf_model.compute_feature_tables gives
-the same values bit for bit and is the tests' reference.
+One array pass (`_fill_tables`) computes the feature tables of all uncached
+samples and writes their Phi into one (S_n, 2**n, 2) stack per node count n;
+tracking's per-frame crf_model.compute_feature_tables gives the same tables
+bit for bit and is the tests' reference.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class TrainingSample:
     sequence: str
     frame: int
     _cache: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)  # key -> (cached Phi, its stack row)
+    _nodes: tuple = field(default=(), repr=False)  # (key, CRF nodes) from generate_dataset
 
     @property
     def negative(self) -> bool:
@@ -87,6 +90,7 @@ class TrainingSample:
 def _fill_tables(samples, params: ModelParams):
     """Cache (Phi, Phi[gold]) for every sample that lacks them, from one feature pass.
 
+    Samples from generate_dataset under these params bring their CRF nodes.
     Raises the error of the first failing sample in order, as building the
     tables sample by sample would: split_frame's, a non-finite feature
     naming its tracklets, gold labels that do not cover the nodes, or
@@ -98,11 +102,13 @@ def _fill_tables(samples, params: ModelParams):
     for sample in samples:
         if key in sample._cache:
             continue
-        try:
-            nodes, _, _ = split_frame(sample.windows, params)
-        except ValidationError as exc:
-            failure = exc
-            break
+        nodes = sample._nodes[1] if sample._nodes[:1] == (key,) else None
+        if nodes is None:
+            try:
+                nodes, _, _ = split_frame(sample.windows, params)
+            except ValidationError as exc:
+                failure = exc
+                break
         todo.append(sample)
         node_lists.append(nodes)
     if todo:
@@ -115,9 +121,10 @@ def _build_tables(samples, node_lists, params: ModelParams, key):
     """_fill_tables' work on samples whose CRF nodes are node_lists.
 
     The node windows of all samples go through features.window_features and
-    features.pair_penalties at once, with pairs indexed across the samples;
-    each sample's Phi then comes from its quadratic_form and two energy grids.
+    features.pair_penalties at once, with pairs indexed across the samples.
     A pass whose features are not all finite runs check_features per sample.
+    Each sample's Phi then comes from its quadratic_form and two energy grids,
+    written into its row of the stack of its node count.
     """
     counts = np.array([len(nodes) for nodes in node_lists], dtype=np.intp)
     windows = [w for nodes in node_lists for w in nodes]
@@ -135,6 +142,7 @@ def _build_tables(samples, node_lists, params: ModelParams, key):
         keep_keep = pair_penalties(kinematics, i, j, fp)
     pair_bounds = np.concatenate([[0], np.cumsum(counts * (counts - 1) // 2)]).tolist()
     all_finite = np.isfinite(unary).all() and np.isfinite(keep_keep).all()
+    sizes, stacks, rows = np.bincount(counts), {}, {}
 
     for s, (sample, nodes) in enumerate(zip(samples, node_lists)):
         unary_phi = unary[window_bounds[s]:window_bounds[s + 1]]
@@ -146,13 +154,17 @@ def _build_tables(samples, node_lists, params: ModelParams, key):
             raise ValidationError(
                 f"gold labels {sorted(sample.gold)} do not cover the CRF nodes {node_ids}")
         n = len(nodes)
-        _check_capacity(n)
+        _check_capacity(n, ", so lower node_budget")
+        if n not in stacks:  # after the capacity check: an oversized Phi is never allocated
+            stacks[n] = np.empty((sizes[n], 1 << n, 2)), np.empty((sizes[n], 2))
+        row = rows[n] = rows.get(n, -1) + 1
+        phi, phi_gold = stacks[n]
         c, a, q = quadratic_form(unary_phi, pair_ends(n), pair_phi)
-        phi = np.empty((1 << n, 2))
-        phi[:, 0] = _energy_grid(n, c, a, None).ravel()
-        phi[:, 1] = _energy_grid(n, 0.0, None, q).ravel()
-        gold = sum(sample.gold[tid] << v for v, tid in enumerate(node_ids))
-        sample._cache[key] = (phi, phi[gold].copy())
+        phi[row, :, 0] = _energy_grid(n, c, a, None).ravel()
+        phi[row, :, 1] = _energy_grid(n, 0.0, None, q).ravel()
+        phi_gold[row] = phi[row, sum(sample.gold[tid] << v for v, tid in enumerate(node_ids))]
+        sample._cache[key] = (phi[row], phi_gold[row])
+        sample._rows[key] = (sample._cache[key][0], row)
 
 
 @dataclass
@@ -161,29 +173,47 @@ class TrainResult:
     epoch_loglik: list[float]
 
 
-def _log_partition(phi, theta):
-    """(log Z, E_p[Phi]) under the energies Phi theta, shifted by their minimum."""
+def _gradient(phi, phi_gold, theta) -> tuple[float, float]:
+    """E_p[Phi] - Phi[gold] under the energies Phi theta, shifted by their minimum."""
     energies = phi @ theta
-    e_min = energies.min()
-    weights = np.exp(np.subtract(e_min, energies, out=energies), out=energies)
-    total = weights.sum()
-    return math.log(total) - float(e_min), (weights @ phi) / total
+    weights = np.exp(np.subtract(energies.min(), energies, out=energies), out=energies)
+    g_u, g_b = (weights @ phi) / weights.sum() - phi_gold
+    return float(g_u), float(g_b)
 
 
 def log_likelihood(params: ModelParams, samples) -> float:
     """Sum of log p(gold labels | observations) over the samples, with exact log Z.
 
-    Weights whose energies overflow float range give a non-finite value, not
-    a numpy warning.
+    Phi theta, its row minima, exp and row sums are one array call each over
+    the samples' rows of one stack; the gold energies, math.log and the terms'
+    sum go sample by sample, in order. Weights whose energies overflow float
+    range give a non-finite value, not a numpy warning.
     """
     _fill_tables(samples, params)
+    key = _table_key(params)
     theta = np.array([params.theta_u, params.theta_b])
-    total = 0.0
+    stacks, order = {}, []
+    for sample in samples:
+        phi, phi_gold = sample._cache[key]
+        hint = sample._rows.get(key)  # None, or stale once _cache[key] was replaced
+        stack, row = (phi.base, hint[1]) if hint and hint[0] is phi else (phi[None], 0)
+        _, rows, log_z = stacks.setdefault(id(stack), (stack, [], []))
+        order.append((log_z, len(rows), phi_gold))
+        rows.append(row)
     with np.errstate(over="ignore", invalid="ignore"):
-        for sample in samples:
-            phi, phi_gold = sample.tables(params)
-            log_z, _ = _log_partition(phi, theta)
-            total += -float(phi_gold @ theta) - log_z
+        for stack, rows, log_z in stacks.values():
+            # Blocks of at most 2**15 labelings keep the energies small beside Phi.
+            whole, step = rows == list(range(len(stack))), max(1, (1 << 15) // stack.shape[1])
+            for start in range(0, len(rows), step):
+                block = stack[start:start + step] if whole else stack[rows[start:start + step]]
+                energies = block @ theta
+                e_min = energies.min(axis=1)
+                weights = np.exp(np.subtract(e_min[:, None], energies, out=energies), out=energies)
+                log_z += [math.log(total) - e for total, e
+                          in zip(weights.sum(axis=1).tolist(), e_min.tolist())]
+        total = 0.0
+        for log_z, k, phi_gold in order:
+            total += -float(phi_gold @ theta) - log_z[k]
     return total
 
 
@@ -193,24 +223,25 @@ def gradient(params: ModelParams, sample: TrainingSample) -> tuple[float, float]
     The expectation is exact. The test suite certifies it against finite
     differences of log_likelihood and against exact factor-graph marginals.
     """
-    phi, phi_gold = sample.tables(params)
-    _, expected = _log_partition(phi, np.array([params.theta_u, params.theta_b]))
-    g_u, g_b = expected - phi_gold
-    return float(g_u), float(g_b)
+    return _gradient(*sample.tables(params), np.array([params.theta_u, params.theta_b]))
 
 
 def sgd_train(samples, init: ModelParams, config: TrainConfig, bp=None) -> TrainResult:
     """Per-sample gradient ascent on the two shared weights.
 
-    Samples are reshuffled every epoch with a seeded generator. The returned
-    trace holds the exact full-data log-likelihood at initialization (epoch
-    0) and after each epoch. A step that leaves the weights non-finite,
+    Each update reads its sample's cached tables and steps the weights as
+    numbers. Samples are reshuffled every epoch with a seeded generator. The
+    returned trace holds the exact full-data log-likelihood at initialization
+    (epoch 0) and after each epoch. A step that leaves the weights non-finite,
     or a trace entry that is not finite, raises NumericalError naming its
     epoch; a finite but falling likelihood is returned.
     `bp` is unused: training runs no inference routine.
     """
     if not samples:
         raise ValidationError("cannot train on an empty dataset")
+    _fill_tables(samples, init)
+    key = _table_key(init)
+    tables = [sample._cache[key] for sample in samples]
     rng = np.random.default_rng(config.shuffle_seed)
     theta_u, theta_b = init.theta_u, init.theta_b
     trace = []
@@ -219,7 +250,7 @@ def sgd_train(samples, init: ModelParams, config: TrainConfig, bp=None) -> Train
         for epoch in range(config.epochs + 1):
             if epoch:
                 for idx in rng.permutation(len(samples)):
-                    g_u, g_b = gradient(with_weights(init, theta_u, theta_b), samples[idx])
+                    g_u, g_b = _gradient(*tables[idx], np.array([theta_u, theta_b]))
                     theta_u += config.learning_rate * g_u
                     theta_b += config.learning_rate * g_b
                     if not (math.isfinite(theta_u) and math.isfinite(theta_b)):
@@ -282,6 +313,7 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
     up by frame number.
     """
     run_rows = dict(track_run.frames())
+    key = _table_key(params)
     state: dict[int, tuple[HypothesisWindow, int | None]] = {}  # tracklet -> (window, owner)
     state_frame = None
     negatives, positives = [], []
@@ -312,8 +344,8 @@ def generate_dataset(track_run: TrackFile, ground_truth: TrackFile,
 
         gold = {w.tracklet_id: int((state[w.tracklet_id][1], w.tracklet_id) in covered)
                 for w in nodes}
-        sample = TrainingSample(windows=windows, ctx=ctx, gold=gold,
-                                sequence=sequence_id, frame=frame)
+        sample = TrainingSample(windows=windows, ctx=ctx, gold=gold, sequence=sequence_id,
+                                frame=frame, _nodes=(key, nodes))
         (negatives if sample.negative else positives).append(sample)
 
     if not negatives:

@@ -739,9 +739,12 @@ class TestCli:
         save_params(tmp_path / "params.txt", *default_params())
         assert main(gen_args(tmp_path)) == 0
         assert main(["infer", "--frame-json", str(tmp_path / "frame.json"),
-                     "--params", str(tmp_path / "params.txt")]) == 0
+                     "--params", str(tmp_path / "params.txt"), "--inference", "loopy-bp",
+                     "--dump-messages", str(tmp_path / "messages.txt")]) == 0
         out = capsys.readouterr().out.split()
         assert out[::2] == [str(w["id"]) for w in frame["windows"]]
+        # The README's --dump-messages example writes messages: its frame has pair factors.
+        assert (tmp_path / "messages.txt").read_text().strip()
 
     def test_huge_coordinates_round_trip(self, workdir):
         # Finite values beyond 1e26 overflowed a 28-digit decimal context.

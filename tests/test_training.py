@@ -499,6 +499,46 @@ class TestPhiMatchesFactorGraphReference:
             == (expected.params.theta_u, expected.params.theta_b)
 
 
+def reference_terms_of(phi, theta):
+    """(log Z, E_p[Phi]) of one sample's Phi, as the log-likelihood was summed sample by sample."""
+    energies = phi @ theta
+    e_min = energies.min()
+    weights = np.exp(np.subtract(e_min, energies, out=energies), out=energies)
+    total = weights.sum()
+    return math.log(total) - float(e_min), (weights @ phi) / total
+
+
+def reference_sgd(samples, init, config):
+    """(theta_u, theta_b, epoch log-likelihoods) of SGD as it was before the stacked tables.
+
+    Each update rebuilds the params with with_weights and steps on one sample's
+    gradient; each trace entry sums the samples' terms one by one. Phi comes
+    from reference_tables, so nothing here reads the table pass.
+    """
+    tables = [reference_tables(init, s) for s in samples]
+
+    def loglik(params):
+        theta = np.array([params.theta_u, params.theta_b])
+        total = 0.0
+        for phi, phi_gold in tables:
+            total += -float(phi_gold @ theta) - reference_terms_of(phi, theta)[0]
+        return total
+
+    rng = np.random.default_rng(config.shuffle_seed)
+    theta_u, theta_b = init.theta_u, init.theta_b
+    trace = [loglik(init)]
+    for _ in range(config.epochs):
+        for idx in rng.permutation(len(samples)):
+            params = with_weights(init, theta_u, theta_b)
+            phi, phi_gold = tables[idx]
+            _, expected = reference_terms_of(phi, np.array([params.theta_u, params.theta_b]))
+            g_u, g_b = expected - phi_gold
+            theta_u += config.learning_rate * float(g_u)
+            theta_b += config.learning_rate * float(g_b)
+        trace.append(loglik(with_weights(init, theta_u, theta_b)))
+    return theta_u, theta_b, trace
+
+
 def boxes_window(tid, boxes, score=0.9):
     return HypothesisWindow(tracklet_id=tid, boxes=tuple(Box(*b) for b in boxes), score=score)
 
@@ -531,7 +571,7 @@ def failing_samples():
                       ValidationError, "duplicate tracklet ids in frame"),
         "capacity": (sample(crowd, {tid: 1 for tid in range(40)}), CapacityError,
                      "exact inference enumerates 2**K labelings; K=40 exceeds 20, "
-                     "so use loopy-bp"),
+                     "so lower node_budget"),
     }
 
 
@@ -657,6 +697,84 @@ class TestDatasetPassOracle:
         assert np.isinf(unary[-3:-1, 1]).all() and np.isinf(kinematics[-1, 0])
 
 
+class TestStackedTables:
+    """Phi stacked per node count gives what per-sample arrays gave, bit for bit."""
+
+    @staticmethod
+    def mixed_samples():
+        """Fuzz samples of 0, 1, 2-10 and 11-14 CRF nodes at node budget 14, plus edge cases.
+
+        The five 13-node samples take more than one of log_likelihood's blocks.
+        """
+        rng = np.random.default_rng(21)
+        samples = [fuzz_sample(rng, frame) for frame in range(24)] + edge_samples()
+        samples += [empty_node_sample(), single_node_sample()]
+        samples += [crowded_sample(13) for _ in range(5)]
+        sizes = {len(s.gold) for s in samples}
+        assert {0, 1} <= sizes and sizes & set(range(2, 11)) and sizes & set(range(11, 15))
+        return samples
+
+    def test_sgd_equals_per_sample_reference(self, table_params):
+        params = dataclasses.replace(table_params, node_budget=14)
+        samples = self.mixed_samples()
+        config = TrainConfig(epochs=3, shuffle_seed=5)
+        expected = reference_sgd(samples, params, config)
+        # Three table passes: a third of the samples, one sample alone, and
+        # the rest inside sgd_train.
+        log_likelihood(params, samples[::3])
+        samples[1].tables(params)
+        result = sgd_train(samples, params, config)
+        assert (result.params.theta_u, result.params.theta_b, result.epoch_loglik) == expected
+
+    def test_log_likelihood_of_any_selection_equals_reference(self, table_params):
+        params = with_weights(dataclasses.replace(table_params, node_budget=14), 1.5, 0.25)
+        samples = self.mixed_samples()
+        log_likelihood(params, samples[::2])
+        theta = np.array([params.theta_u, params.theta_b])
+        for selection in (samples, samples[::-1], samples[3:9], samples[:4] * 2, samples[5:6]):
+            expected = 0.0
+            for sample in selection:
+                phi, phi_gold = reference_tables(params, sample)
+                expected += -float(phi_gold @ theta) - reference_terms_of(phi, theta)[0]
+            assert log_likelihood(params, selection) == expected
+        # Entries put in a copy's cache by hand are read as they are, whatever
+        # rows the shared _rows records.
+        key = training._table_key(params)
+        patched = [dataclasses.replace(s, _cache={key: reference_tables(params, s)})
+                   for s in samples]
+        assert log_likelihood(params, patched) == log_likelihood(params, samples)
+
+    def test_sgd_calls_per_epoch_not_per_update(self, table_params, tmp_path, monkeypatch):
+        generated, _ = scenario_dataset(seed=203)
+        save_dataset(tmp_path / "dataset.txt", generated)
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((training, "with_weights"), (training, "split_frame"),
+                            (TrainingSample, "tables"), (training, "gradient")):
+            count(owner, name)
+        for epochs in (1, 4):
+            for samples, splits in ((scenario_dataset(seed=203)[0], 0),
+                                    (load_dataset(tmp_path / "dataset.txt"), len(generated))):
+                calls.clear()
+                sgd_train(samples, table_params, TrainConfig(epochs=epochs))
+                assert calls == Counter(with_weights=epochs + 2, split_frame=splits)
+        # Generated samples bring their nodes only for the params that made them.
+        other = dataclasses.replace(table_params,
+                                    features=dataclasses.replace(table_params.features, beta=1.0))
+        fresh, loaded = scenario_dataset(seed=203)[0], load_dataset(tmp_path / "dataset.txt")
+        calls.clear()
+        assert log_likelihood(other, fresh) == log_likelihood(other, loaded)
+        assert calls == {"split_frame": 2 * len(generated)}
+
+
 def test_cli_train_reaches_layer_functions_through_module_attributes(tmp_path, monkeypatch):
     """Each training function the benchmark wraps in a span is called through its module.
 
@@ -700,9 +818,10 @@ def test_cli_train_reaches_layer_functions_through_module_attributes(tmp_path, m
     assert n > 0
     # Training builds no factor graph and no per-sample feature tables, so
     # graph_from_features and compute_feature_tables are not reached: one
-    # feature pass over the dataset fills every sample's tables.
-    assert calls == {"window_features": 1, "tables": 3 * n, "gradient": n,
-                     "log_likelihood": 2}
+    # feature pass over the dataset fills every sample's tables. SGD steps
+    # read the cached tables, so TrainingSample.tables and gradient are not
+    # reached either.
+    assert calls == {"window_features": 1, "log_likelihood": 2}
 
 
 class TestFiniteDiffCheck:
