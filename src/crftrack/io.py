@@ -4,11 +4,13 @@ One record per line, comma separated, ten fields:
 frame, id, left, top, width, height, score, -1, -1, -1. The three trailing
 fields are placeholders kept for layout compatibility; every field must
 parse as a finite number, and frame and id as integers that fit in int64.
-A TrackFile holds the rows as numpy columns: frame and id as int64, the
-box and score as float64. Pixel values are written with two decimals,
-scores with four, rounded half-up on the exact binary value (`fixed_point`:
-"%.*f", with exact half-way cases rounded away from zero in integer
-arithmetic); a non-finite value is a ValidationError.
+`parse_mot` reads with numpy's C reader, and with int() and float() line by
+line where that reader refuses. A TrackFile holds the rows as numpy
+columns: frame and id as int64, the box and score as float64. Pixel values
+are written with two decimals, scores with four, rounded half-up on the
+exact binary value (`fixed_point`: "%.*f", with exact half-way cases
+rounded away from zero in integer arithmetic); a non-finite value is a
+ValidationError.
 A frame object (one frame's context and windows) is the input of
 `crftrack infer` and, with gold labels, one line of a training dataset.
 """
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -47,13 +51,21 @@ class TrackFile:
 
     frame and track_id are int64 columns; left, top, width, height and score
     float64 columns. TrackFile(records) builds the columns from TrackRecord
-    rows; `records`, `by_frame()` and `frames()` give rows back. A frame or id outside
-    int64, or a row out of order, is a FormatError whose line is the row's
-    position.
+    rows; `records`, `by_frame()` and `frames()` give rows back. A frame or id that
+    is not an integer (a float or a bool is not) or lies outside int64, or a row
+    out of order, is a FormatError whose line is the row's position.
     """
 
     def __init__(self, records=()):
-        self._fill(*(list(zip(*records)) or [()] * len(TrackRecord._fields)))
+        frame, track_id, *values = list(zip(*records)) or [()] * len(TrackRecord._fields)
+        # One check per type, not per row: int64 conversion truncates floats and bools.
+        if not all(issubclass(kind, numbers.Integral) and kind is not bool
+                   for kind in {*map(type, frame), *map(type, track_id)}):
+            row = next(i for i, key in enumerate(zip(frame, track_id))
+                       if not all(map(is_integer, key)))
+            raise FormatError(f"frame and id must be integers, got frame {frame[row]}, "
+                              f"id {track_id[row]}", line=row + 1)
+        self._fill(frame, track_id, *values)
 
     @classmethod
     def _from_columns(cls, *columns) -> TrackFile:
@@ -150,14 +162,15 @@ def round_half_up(value: float, decimals: int) -> float:
     return float(fixed_point(value, decimals))
 
 
-def _check_row(line: str, lineno: int):
-    """Raise the FormatError of the first check that one non-blank line fails."""
+def _read_row(line: str, lineno: int) -> tuple:
+    """One non-blank line's (frame, id, left, top, width, height, score) by int()
+    and float(); raises the FormatError of the first check the line fails."""
     fields = line.split(",")
     if len(fields) != 10:
         raise FormatError(f"expected 10 fields, got {len(fields)}", line=lineno)
     try:
         frame = int(fields[0])
-        int(fields[1])
+        track_id = int(fields[1])
         values = list(map(float, fields[2:]))
     except ValueError:
         raise FormatError(f"non-numeric field in {line!r}", line=lineno)
@@ -168,14 +181,40 @@ def _check_row(line: str, lineno: int):
         raise FormatError(f"frame numbers start at 1, got {frame}", line=lineno)
     if width <= 0 or height <= 0:
         raise FormatError(f"non-positive box dimensions {width}x{height}", line=lineno)
+    return frame, track_id, *values[:5]
+
+
+# One row for numpy's C reader: frame, id, then box, score and the three placeholders.
+_TABLE = np.dtype([("frame", np.int64), ("id", np.int64), ("values", np.float64, 8)])
+
+
+def _read_table(rows) -> tuple | None:
+    """The seven columns of non-blank `rows` by numpy's C reader, or None when there
+    are no rows, the reader refuses a field or warns, or a column check fails."""
+    text = "".join(rows)
+    # numpy's reader warns on no data, reads a non-ASCII letter in an integer as a
+    # digit, and strips the separators \x1c-\x1f, which int() and float() refuse.
+    if not text or not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=_TABLE, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    values = table["values"].T.copy()
+    if table["frame"].min() >= 1 and np.isfinite(values).all() and (values[2:4] > 0).all():
+        return table["frame"], table["id"], *values[:5]
+    return None
 
 
 def parse_mot(source) -> TrackFile:
     """Parse a MOT text file from a path or an iterable of lines; every number must be finite.
 
-    Each column is converted with one int() or float() pass and checked as a
-    whole. Only when a check fails are the lines checked one by one, so the
-    error names the first bad line as a line-by-line parse would.
+    numpy's C reader (`np.loadtxt`, whose float conversion is float()'s) reads
+    all rows and the columns are checked as a whole. Any refusal (see
+    `_read_table`) sends the lines to int() and float() line by line, which
+    read what only Python accepts, such as "1_0", or name the first bad line.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, encoding="ascii") as fh:
@@ -184,25 +223,12 @@ def parse_mot(source) -> TrackFile:
         lines = list(source)
 
     rows = [line for line in map(str.strip, lines) if line]
-    fields = [row.split(",") for row in rows]
-    ok = set(map(len, fields)) <= {10}
+    columns = _read_table(rows)
+    if columns is None:
+        records = map(_read_row, rows, _line_numbers(lines))
+        columns = list(zip(*records)) or [()] * len(TrackRecord._fields)
     try:
-        if ok:
-            text = list(zip(*fields)) or [()] * 10
-            frame, track_id = (list(map(int, c)) for c in text[:2])
-            values = np.array([list(map(float, c)) for c in text[2:7]])
-            # The placeholders are only checked, so each distinct string is read once.
-            placeholders = [float(s) for c in text[7:] for s in set(c)]
-            ok = (min(frame, default=1) >= 1 and np.isfinite(values).all()
-                  and all(map(math.isfinite, placeholders)) and (values[2:4] > 0).all())
-    except ValueError:
-        ok = False
-    if not ok:
-        for row, lineno in zip(rows, _line_numbers(lines)):
-            _check_row(row, lineno)
-
-    try:
-        return TrackFile._from_columns(frame, track_id, *values)
+        return TrackFile._from_columns(*columns)
     except FormatError as exc:
         exc.line = _line_numbers(lines)[exc.line - 1]  # TrackFile counts rows, not blank lines
         raise

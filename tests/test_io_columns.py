@@ -1,17 +1,23 @@
 """Columnar track files against row-by-row references.
 
-parse_mot converts whole columns and checks them at once; write_mot finds
-half-way values column by column. Both are compared here with the
-line-by-line parser and the value-by-value writer they replaced, kept below
-as references. The CLI's layer functions are also checked to be reached
-through their module attributes, which the benchmark's per-layer spans wrap.
+parse_mot converts a file with numpy's C reader and checks whole columns at
+once, falling back to its per-line reader (int() and float() line by line)
+on any refusal; write_mot finds half-way values column by column. Both are
+compared here with the line-by-line parser and the value-by-value writer
+they replaced, kept below as references, on numeric spellings that either
+path takes. A guard counts the per-line reader's rows, so that a clean file
+is shown to need none. The CLI's layer functions are also checked to be
+reached through their module attributes, which the benchmark's per-layer
+spans wrap.
 """
 
 import json
 import math
 import random
 import sys
+import warnings
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -175,6 +181,137 @@ class TestParseReference:
         assert (track.frame.tolist(), track.track_id.tolist()) == ([2**63 - 1], [-2**63])
 
 
+
+def numeric_texts(seed, n=40):
+    """Seeded float spellings: 17 to 30 digit mantissas, exact decimal half-way
+    points between neighbouring doubles, and exponents near +-308 and +-324."""
+    rng = random.Random(seed)
+
+    def digits(k):
+        return "".join(rng.choice("0123456789") for _ in range(k))
+
+    texts = []
+    for _ in range(n):
+        x = rng.uniform(1e-3, 1e4)
+        with localcontext() as exact:
+            exact.prec = 100  # exact: the mean of two such doubles has fewer digits
+            half = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        sign = rng.choice(["", "-", "+"])
+        texts += [f"{sign}{digits(rng.randrange(1, 6))}.{digits(rng.randrange(17, 30))}",
+                  str(half),
+                  f"{digits(rng.randrange(1, 18))}e{rng.choice('+-')}{rng.randrange(300, 310)}",
+                  f"{sign}{rng.randrange(1, 10)}.{digits(16)}e-{rng.randrange(318, 330)}"]
+    return texts
+
+
+SPECIAL_TEXTS = ["-0.0", "5e-324", "1e-320", "2.4703282292062327e-324", "2.4703282292062328e-324",
+                 "1.7976931348623157e308", "1.7976931348623159e308", "2.2250738585072011e-308",
+                 "inf", "Infinity", "nan", "+nan", str(2**63 - 1), str(2**63), str(-2**63),
+                 str(-2**63 - 1), "0.1", "1e22", "9007199254740993"]
+# Spellings only int() and float() accept, and ones numpy's reader would misread:
+# it strips the separators \x1c-\x1f and reads a non-ASCII letter in an integer as a digit.
+PYTHON_TEXTS = ["1_0", "\x0b7", "7\x0c", "\x0c7", " \x0b7\t", "\x1c7", "7\x1f", "\u01fe7",
+                "\u0663", "\u20037"]
+
+
+class TestParseEquivalence:
+    """parse_mot against the line-by-line reference on single fields and whole files."""
+
+    @pytest.mark.parametrize("field", range(10))
+    def test_every_numeric_text_in_every_field(self, generated_lines, field):
+        failures = []
+        for text in SPECIAL_TEXTS + PYTHON_TEXTS + numeric_texts(f"field-{field}"):
+            lines = list(generated_lines)
+            fields = lines[5].rstrip("\n").split(",")
+            fields[field] = text
+            lines[5] = ",".join(fields) + "\n"
+            if actual_parse(lines) != expected_parse(lines):
+                failures.append((text, expected_parse(lines), actual_parse(lines)))
+        assert not failures, "\n".join(map(repr, failures[:5]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_file_of_seeded_values_is_bit_identical(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        texts = numeric_texts(seed, n=100) + SPECIAL_TEXTS[:6]
+        finite = [t for t in texts if math.isfinite(float(t))]
+        positive = [t.lstrip("+-") for t in finite if float(t.lstrip("+-")) > 0]
+        lines = [",".join([str(f), str(rng.randrange(-2**63, 2**63)), rng.choice(finite),
+                           rng.choice(finite), rng.choice(positive), rng.choice(positive),
+                           rng.choice(finite), *rng.sample(finite, 3)]) + "\n"
+                 for f in range(1, 400)]
+        calls = count_row_reads(monkeypatch)
+        expected = expected_parse(lines)
+        assert expected[0] == "rows" and actual_parse(lines) == expected
+        assert calls["rows"] == 0  # the C reader took the whole file
+        track = parse_mot(lines)
+        assert np.signbit(track.left).tolist() == [line.split(",")[2].startswith("-")
+                                                   for line in lines]
+
+    @pytest.mark.parametrize("blank", ["   \n", "\x0b\x0c\n", "\t\r\n", "\x1c\n", "\u3000\n"])
+    def test_whitespace_only_lines_are_blank(self, generated_lines, blank):
+        lines = list(generated_lines)
+        lines[3:3] = [blank, blank]
+        lines.append(blank)
+        assert actual_parse(lines) == expected_parse(lines)
+        lines[8] = lines[8].replace(",", ",x", 1)
+        assert actual_parse(lines) == expected_parse(lines)
+        assert expected_parse(lines)[1].startswith("line 9: non-numeric field")
+
+
+def count_row_reads(monkeypatch):
+    """Counts the per-line reader's rows from here on."""
+    calls = Counter()
+    read_row = io._read_row
+
+    def counted(*args):
+        calls["rows"] += 1
+        return read_row(*args)
+    monkeypatch.setattr(io, "_read_row", counted)
+    return calls
+
+
+class TestFastPathGuard:
+    @pytest.fixture(scope="class")
+    def crowd_path(self, tmp_path_factory):
+        hyp, _, _ = generate_scenario(ScenarioSpec(num_targets=20, seed=7))
+        path = tmp_path_factory.mktemp("crowd") / "hyp.txt"
+        write_mot(hyp, path)
+        return path
+
+    def test_clean_file_never_reads_line_by_line(self, crowd_path, monkeypatch):
+        path = crowd_path
+        calls = count_row_reads(monkeypatch)
+        track = parse_mot(path)
+        assert calls["rows"] == 0 and len(track) > 2000
+        assert track.records == parse_mot(path.read_text().splitlines()).records
+        assert all(c.flags.c_contiguous for c in track.columns)
+        assert parse_mot([]) == TrackFile() and calls["rows"] == 0
+
+    def test_python_only_field_is_read_line_by_line(self, crowd_path, monkeypatch):
+        path = crowd_path
+        lines = path.read_text().splitlines(keepends=True)
+        lines[100] = lines[100].replace(",", ",0_", 1)  # id 7 reads as 0_7
+        calls = count_row_reads(monkeypatch)
+        track = parse_mot(lines)
+        assert calls["rows"] == len(lines)
+        assert track == parse_mot(path)
+        assert actual_parse(lines) == expected_parse(lines)
+
+    def test_reader_warning_is_a_refusal(self, crowd_path, monkeypatch):
+        """numpy before 2.0 read "1.0" in an integer column with a DeprecationWarning."""
+        path = crowd_path
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("read as an integer", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        calls = count_row_reads(monkeypatch)
+        track = parse_mot(path)
+        assert calls["rows"] == len(track) > 2000
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert track == parse_mot(path)
+
 def reference_write(track):
     """The value-by-value writer: every value through fixed_point."""
     lines = []
@@ -245,6 +382,19 @@ class TestTrackFile:
     def test_record_id_outside_int64_is_a_format_error(self):
         with pytest.raises(FormatError, match="line 2: frame and id must fit"):
             TrackFile([TrackRecord(1, 1, 0, 0, 1, 1, 1), TrackRecord(2, 2**64, 0, 0, 1, 1, 1)])
+
+    @pytest.mark.parametrize("frame, track_id", [(1.7, 2.2), (True, 2), (2, 3.0),
+                                                 (np.float64(2.0), 3), (2, np.bool_(True))])
+    def test_record_frame_or_id_not_an_integer_is_a_format_error(self, frame, track_id):
+        with pytest.raises(FormatError) as caught:
+            TrackFile([TrackRecord(1, 1, 0, 0, 1, 1, 1),
+                       TrackRecord(frame, track_id, 0, 0, 1, 1, 1)])
+        assert str(caught.value) == (f"line 2: frame and id must be integers, "
+                                     f"got frame {frame}, id {track_id}")
+
+    def test_numpy_integer_records_accepted(self):
+        track = TrackFile([TrackRecord(np.int64(1), np.int32(2), 0, 0, 1, 1, 1)])
+        assert track.records == [TrackRecord(1, 2, 0.0, 0.0, 1.0, 1.0, 1.0)]
 
 
 def test_cli_reaches_layer_functions_through_module_attributes(tmp_path, monkeypatch):
