@@ -174,8 +174,8 @@ def _quadratic_form(graph):
 def _half_energies(half, a, q, part):
     """a.y + y'Qy over the variables `part` for every labeling y of one half; None skips a term."""
     y = half[:, half.shape[1] // 2:]
-    linear = 0.0 if a is None else y @ a[part]
-    return linear if q is None else linear + ((y @ q[part, part]) * y).sum(axis=1)
+    linear = 0.0 if a is None else np.matmul(y, a[..., part, None])[..., 0]
+    return linear if q is None else linear + ((y @ q[..., part, part]) * y).sum(axis=-1)
 
 
 def _check_capacity(num_vars, advice=""):
@@ -185,16 +185,18 @@ def _check_capacity(num_vars, advice=""):
 
 
 def _energy_grid(n, c, a, q):
-    """labeling_energies' grid of c + a.y + y'Qy (None skips a term); _check_capacity first."""
+    """labeling_energies' grid of c + a.y + y'Qy (None skips a term); _check_capacity first.
+    Forms stacked on leading axes of a and q give stacked grids, each from the matrix products
+    it gets alone; c broadcasts against (..., 2**min(n, COLUMN_VARS))."""
     k = min(n, COLUMN_VARS)
     cols, rows = _labeling_half(k), _labeling_half(n - k)
-    col_energies = _half_energies(cols, a, q, slice(k)) + c
+    col_energies = (_half_energies(cols, a, q, slice(k)) + c)[..., None, :]
     if n == k:  # one grid row: no row half and no cross product
-        return col_energies.reshape(1, -1)
-    row_energies = _half_energies(rows, a, q, slice(k, n))[:, None]
+        return col_energies
+    row_energies = _half_energies(rows, a, q, slice(k, n))[..., None]
     if q is None:
         return row_energies + col_energies
-    energies = (rows[:, n - k:] @ q[:k, k:].T) @ cols[:, k:].T
+    energies = (rows[:, n - k:] @ q[..., :k, k:].swapaxes(-1, -2)) @ cols[:, k:].T
     energies += row_energies
     energies += col_energies
     return energies

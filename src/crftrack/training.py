@@ -11,35 +11,36 @@ trained; the feature hyperparameters stay fixed.
 Each sample enters the likelihood only through the (2**n, 2) matrix Phi of the
 feature sums (phi_u, phi_b) of all its labelings, built once from the feature
 tables, with no factor graph: its columns are the unary form c + a.y and the
-pair form y'Qy of factor_graph.quadratic_form on exact inference's labeling
-grid. log Z is a log-sum-exp of -Phi theta; the gradient, E_p[Phi] - Phi[gold].
+pair form y'Qy, the terms of factor_graph.quadratic_form, on exact inference's
+labeling grid. log Z is a log-sum-exp of -Phi theta; the gradient, E_p[Phi] - Phi[gold].
 
 One array pass (`_fill_tables`) computes the feature tables of all uncached
-samples and writes their Phi into one (S_n, 2**n, 2) stack per node count n;
-tracking's per-frame crf_model.compute_feature_tables gives the same tables
-bit for bit and is the tests' reference.
+samples and fills one (S_n, 2**n, 2) stack of Phi per node count n with a few
+grid calls per stack; tracking's per-frame crf_model.compute_feature_tables
+gives the same tables bit for bit and is the tests' reference.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .crf_model import ModelParams, check_features, pair_ends, split_frame, with_weights
 from .errors import FormatError, NumericalError, ValidationError
-from .factor_graph import _check_capacity, _energy_grid, quadratic_form
+from .factor_graph import _check_capacity, _energy_grid
 from .features import (Box, FrameContext, HypothesisWindow, is_integer, pair_penalties,
                        window_features)
 from .io import TrackFile, _decode_json, frame_from_json, frame_to_json
 from .metrics import _walk
 
-# A sample's feature tables depend on every ModelParams field but the weights.
-_table_key = operator.attrgetter(*(f.name for f in fields(ModelParams)
-                                   if f.name not in ("theta_u", "theta_b")))
+
+def _table_key(params: ModelParams) -> str:
+    """Cache key of a sample's feature tables: the repr of every ModelParams field but
+    the weights. A str caches its hash, so a call hashes the fields once."""
+    return repr(replace(params, theta_u=0.0, theta_b=0.0))
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,11 @@ class TrainingSample:
 
         Row m of Phi is (phi_u, phi_b) of the labeling whose bit v is node v's label.
         """
-        key = _table_key(params)
-        if key not in self._cache:
-            _fill_tables([self], params)
-        return self._cache[key]
+        return self._cache[_fill_tables([self], params)]
 
 
-def _fill_tables(samples, params: ModelParams):
-    """Cache (Phi, Phi[gold]) for every sample that lacks them, from one feature pass.
+def _fill_tables(samples, params: ModelParams) -> str:
+    """Cache (Phi, Phi[gold]) for every sample lacking them from one feature pass; return the key.
 
     Samples from generate_dataset under these params bring their CRF nodes.
     Raises the error of the first failing sample in order, as building the
@@ -98,33 +96,28 @@ def _fill_tables(samples, params: ModelParams):
     their tables.
     """
     key = _table_key(params)
-    todo, node_lists, failure = [], [], None
-    for sample in samples:
-        if key in sample._cache:
-            continue
-        nodes = sample._nodes[1] if sample._nodes[:1] == (key,) else None
-        if nodes is None:
-            try:
-                nodes, _, _ = split_frame(sample.windows, params)
-            except ValidationError as exc:
-                failure = exc
-                break
-        todo.append(sample)
-        node_lists.append(nodes)
-    if todo:
-        _build_tables(todo, node_lists, params, key)
-    if failure is not None:
-        raise failure
+    todo, node_lists = [], []
+    try:  # whatever a sample raises, the samples before it get their tables
+        for sample in samples:
+            if key not in sample._cache:
+                nodes = sample._nodes[1] if sample._nodes[:1] == (key,) else None
+                if nodes is None:
+                    nodes, _, _ = split_frame(sample.windows, params)
+                todo.append(sample)
+                node_lists.append(nodes)
+    finally:
+        if todo:
+            _build_tables(todo, node_lists, params, key)
+    return key
 
 
 def _build_tables(samples, node_lists, params: ModelParams, key):
     """_fill_tables' work on samples whose CRF nodes are node_lists.
 
-    The node windows of all samples go through features.window_features and
-    features.pair_penalties at once, with pairs indexed across the samples.
-    A pass whose features are not all finite runs check_features per sample.
-    Each sample's Phi then comes from its quadratic_form and two energy grids,
-    written into its row of the stack of its node count.
+    All node windows go through features.window_features at once and each node count's
+    pairs through features.pair_penalties; check_features runs only on a pass with a
+    feature that is not finite. Each node count's stack of Phi takes a few array calls:
+    Q[:, i, j] = K and factor_graph._energy_grid over blocks of at most 2**12 labelings.
     """
     counts = np.array([len(nodes) for nodes in node_lists], dtype=np.intp)
     windows = [w for nodes in node_lists for w in nodes]
@@ -135,36 +128,44 @@ def _build_tables(samples, node_lists, params: ModelParams, key):
     fp = params.features
     unary, kinematics = window_features(boxes, np.array([w.score for w in windows], dtype=float),
                                         contexts, fp)
-    window_bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-    i, j = np.concatenate([pair_ends(n) + start for n, start
-                           in zip(counts.tolist(), window_bounds)]).T
+    starts, stacks = np.cumsum(counts) - counts, {}  # n -> (samples, unary rows, keep-keep rows)
     with np.errstate(all="ignore"):  # reported by check_features
-        keep_keep = pair_penalties(kinematics, i, j, fp)
-    pair_bounds = np.concatenate([[0], np.cumsum(counts * (counts - 1) // 2)]).tolist()
-    all_finite = np.isfinite(unary).all() and np.isfinite(keep_keep).all()
-    sizes, stacks, rows = np.bincount(counts), {}, {}
+        for n in np.unique(counts).tolist():
+            members, (i, j) = np.flatnonzero(counts == n), pair_ends(n).T
+            at = starts[members, None] + np.arange(n)  # the samples' windows
+            stacks[n] = (members, unary[at],
+                         pair_penalties(kinematics, at[:, i], at[:, j], fp))
+    all_finite = all(np.isfinite(u).all() and np.isfinite(k).all() for _, u, k in stacks.values())
 
-    for s, (sample, nodes) in enumerate(zip(samples, node_lists)):
-        unary_phi = unary[window_bounds[s]:window_bounds[s + 1]]
-        pair_phi = keep_keep[pair_bounds[s]:pair_bounds[s + 1]]
-        if not all_finite:
-            check_features(nodes, unary_phi, pair_phi)
-        node_ids = [w.tracklet_id for w in nodes]
-        if set(node_ids) != set(sample.gold):
-            raise ValidationError(
-                f"gold labels {sorted(sample.gold)} do not cover the CRF nodes {node_ids}")
-        n = len(nodes)
-        _check_capacity(n, ", so lower node_budget")
-        if n not in stacks:  # after the capacity check: an oversized Phi is never allocated
-            stacks[n] = np.empty((sizes[n], 1 << n, 2)), np.empty((sizes[n], 2))
-        row = rows[n] = rows.get(n, -1) + 1
-        phi, phi_gold = stacks[n]
-        c, a, q = quadratic_form(unary_phi, pair_ends(n), pair_phi)
-        phi[row, :, 0] = _energy_grid(n, c, a, None).ravel()
-        phi[row, :, 1] = _energy_grid(n, 0.0, None, q).ravel()
-        phi_gold[row] = phi[row, sum(sample.gold[tid] << v for v, tid in enumerate(node_ids))]
-        sample._cache[key] = (phi[row], phi_gold[row])
-        sample._rows[key] = (sample._cache[key][0], row)
+    gold_rows = []
+    try:  # every check before any Phi; the samples before a failing one get their tables
+        for s, (sample, nodes) in enumerate(zip(samples, node_lists)):
+            node_ids = [w.tracklet_id for w in nodes]
+            if not all_finite:
+                members, unary_phi, pair_phi = stacks[len(nodes)]
+                row = np.searchsorted(members, s)
+                check_features(nodes, unary_phi[row], pair_phi[row])
+            if set(node_ids) != set(sample.gold):
+                raise ValidationError(
+                    f"gold labels {sorted(sample.gold)} do not cover the CRF nodes {node_ids}")
+            _check_capacity(len(nodes), ", so lower node_budget")
+            gold_rows.append(sum(sample.gold[tid] << v for v, tid in enumerate(node_ids)))
+    finally:
+        for n, (members, unary_phi, pair_phi) in stacks.items():
+            size = np.searchsorted(members, len(gold_rows))  # the samples that passed
+            if not size:  # numpy has no shape of over 2**63 entries, not even an empty one
+                continue
+            q, (i, j), flat = np.zeros((size, n, n)), pair_ends(n).T, (-1, 1 << n)
+            q[:, i, j] = pair_phi[:size]
+            c, a = unary_phi[:size, :, 0].sum(axis=1)[:, None], np.diff(unary_phi[:size])[..., 0]
+            phi, step = np.empty((size, 1 << n, 2)), max(1, (1 << 12) >> n)
+            for block in (slice(start, start + step) for start in range(0, size, step)):
+                phi[block, :, 0] = _energy_grid(n, c[block], a[block], None).reshape(flat)
+                phi[block, :, 1] = _energy_grid(n, 0.0, None, q[block]).reshape(flat)
+            phi_gold = phi[np.arange(size), np.array(gold_rows)[members[:size]]]
+            for row, s in enumerate(members[:size].tolist()):
+                tables = samples[s]._cache[key] = phi[row], phi_gold[row]
+                samples[s]._rows[key] = tables[0], row
 
 
 @dataclass
@@ -173,12 +174,11 @@ class TrainResult:
     epoch_loglik: list[float]
 
 
-def _gradient(phi, phi_gold, theta) -> tuple[float, float]:
+def _gradient(phi, phi_gold, theta) -> list[float]:
     """E_p[Phi] - Phi[gold] under the energies Phi theta, shifted by their minimum."""
     energies = phi @ theta
-    weights = np.exp(np.subtract(energies.min(), energies, out=energies), out=energies)
-    g_u, g_b = (weights @ phi) / weights.sum() - phi_gold
-    return float(g_u), float(g_b)
+    weights = np.exp(np.subtract(np.minimum.reduce(energies), energies, out=energies), out=energies)
+    return ((weights @ phi) / np.add.reduce(weights) - phi_gold).tolist()
 
 
 def log_likelihood(params: ModelParams, samples) -> float:
@@ -189,8 +189,7 @@ def log_likelihood(params: ModelParams, samples) -> float:
     sum go sample by sample, in order. Weights whose energies overflow float
     range give a non-finite value, not a numpy warning.
     """
-    _fill_tables(samples, params)
-    key = _table_key(params)
+    key = _fill_tables(samples, params)
     theta = np.array([params.theta_u, params.theta_b])
     stacks, order = {}, []
     for sample in samples:
@@ -223,7 +222,7 @@ def gradient(params: ModelParams, sample: TrainingSample) -> tuple[float, float]
     The expectation is exact. The test suite certifies it against finite
     differences of log_likelihood and against exact factor-graph marginals.
     """
-    return _gradient(*sample.tables(params), np.array([params.theta_u, params.theta_b]))
+    return tuple(_gradient(*sample.tables(params), np.array([params.theta_u, params.theta_b])))
 
 
 def sgd_train(samples, init: ModelParams, config: TrainConfig, bp=None) -> TrainResult:
@@ -239,8 +238,7 @@ def sgd_train(samples, init: ModelParams, config: TrainConfig, bp=None) -> Train
     """
     if not samples:
         raise ValidationError("cannot train on an empty dataset")
-    _fill_tables(samples, init)
-    key = _table_key(init)
+    key = _fill_tables(samples, init)
     tables = [sample._cache[key] for sample in samples]
     rng = np.random.default_rng(config.shuffle_seed)
     theta_u, theta_b = init.theta_u, init.theta_b

@@ -13,7 +13,7 @@ from crftrack.crf_model import (ModelParams, compute_feature_tables, default_par
                                 graph_from_features, pair_ends, save_params, split_frame,
                                 with_weights)
 from crftrack.errors import CapacityError, NumericalError, ValidationError
-from crftrack.factor_graph import exact_inference, labeling_energies
+from crftrack.factor_graph import _energy_grid, exact_inference, labeling_energies, quadratic_form
 from crftrack.features import Box, FrameContext, HypothesisWindow
 from crftrack.io import TrackFile, TrackRecord, frame_from_json, frame_to_json
 from crftrack.metrics import iou
@@ -451,6 +451,18 @@ def reference_tables(params, sample):
     return phi, phi[gold].copy()
 
 
+def per_sample_tables(params, sample):
+    """Phi as the table pass built it before the stacks: quadratic_form and the two
+    energy grids of one sample's own feature tables."""
+    nodes, unary_phi, keep_keep, _, _ = compute_feature_tables(sample.windows, params, sample.ctx)
+    n = len(nodes)
+    c, a, q = quadratic_form(unary_phi, pair_ends(n), keep_keep)
+    phi = np.stack([_energy_grid(n, c, a, None).ravel(), _energy_grid(n, 0.0, None, q).ravel()],
+                   axis=-1)
+    gold = sum(sample.gold[w.tracklet_id] << v for v, w in enumerate(nodes))
+    return phi, phi[gold].copy()
+
+
 @pytest.fixture(scope="module")
 def crowd_datasets(table_params):
     """Datasets of a 20-target scenario at node budgets on both sides of the grid split."""
@@ -610,15 +622,27 @@ class TestDatasetPassErrors:
         assert str(raised.value) == message
         assert all(s._cache for s in samples[:3]) and not capacity._cache
 
+    def test_over_capacity_beyond_numpy_dimensions(self, table_params):
+        # 2**70 labelings is no array shape numpy can make, not even with no rows.
+        params = dataclasses.replace(table_params, node_budget=70)
+        windows = [steady_window(tid, 0.5 + 0.005 * tid, x=25.0 * tid) for tid in range(70)]
+        sample = TrainingSample(windows=windows, ctx=CTX, gold={tid: 1 for tid in range(70)},
+                                sequence="unit", frame=1)
+        valid = single_node_sample()
+        with pytest.raises(CapacityError, match="K=70 exceeds 20"):
+            log_likelihood(params, [valid, sample])
+        assert valid._cache and not sample._cache
+
 
 FUZZ_CONTEXTS = (FrameContext(1920.0, 1080.0, 5.0), FrameContext(640.0, 480.0, 14.0))
 
 
-def fuzz_sample(rng, frame):
-    """A seeded sample of either context with 0, 1, 2-10 or 11-14 CRF nodes and two
-    bypassed windows; boxes may straddle the image edge."""
+def fuzz_sample(rng, frame, n=None):
+    """A seeded sample of either context with n CRF nodes, by default 0, 1, 2-10 or
+    11-14, and two bypassed windows; boxes may straddle the image edge."""
     ctx = FUZZ_CONTEXTS[rng.integers(2)]
-    n = int(rng.choice([0, 1, rng.integers(2, 11), rng.integers(11, 15)]))
+    if n is None:
+        n = int(rng.choice([0, 1, rng.integers(2, 11), rng.integers(11, 15)]))
     windows = []
     for tid in range(n):
         left = rng.uniform(-30.0, ctx.image_width - 10.0)
@@ -713,6 +737,35 @@ class TestStackedTables:
         sizes = {len(s.gold) for s in samples}
         assert {0, 1} <= sizes and sizes & set(range(2, 11)) and sizes & set(range(11, 15))
         return samples
+
+    def test_stacked_phi_equals_per_sample_grids(self, table_params):
+        params = dataclasses.replace(table_params, node_budget=14)
+        rng = np.random.default_rng(34)
+        samples = self.mixed_samples() + [fuzz_sample(rng, frame, n) for frame, n
+                                          in enumerate([10] * 20 + [11] * 9 + [12] * 5 + [14] * 2)]
+        # A block holds 2**12 labelings: 4 samples of 10 nodes, 2 of 11, 1 of 12 or 14.
+        sizes = Counter(len(s.gold) for s in samples)
+        assert sizes[10] > 4 and sizes[11] > 2 and sizes[12] > 1 and sizes[14] > 1
+        assert sizes[0] and sizes[1]
+        training._fill_tables(samples, params)
+        for sample in samples:
+            phi, phi_gold = sample.tables(params)
+            expected, expected_gold = per_sample_tables(params, sample)
+            assert same_bits(phi, expected) and same_bits(phi_gold, expected_gold)
+
+    def test_table_pass_peak_does_not_grow_with_samples(self, table_params):
+        rng = np.random.default_rng(35)
+        samples = [fuzz_sample(rng, frame, 10) for frame in range(512)]
+        tracemalloc.start()
+        try:
+            training._fill_tables(samples, table_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        phi_bytes = len(samples) * (2 ** 10 + 1) * 2 * 8
+        # One block of 4 samples holds under 1 MiB of grid temporaries; a pass
+        # over all 512 samples at once would hold about 40 MiB.
+        assert peak < phi_bytes + 4 * 2**20
 
     def test_sgd_equals_per_sample_reference(self, table_params):
         params = dataclasses.replace(table_params, node_budget=14)
